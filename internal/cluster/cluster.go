@@ -699,7 +699,7 @@ func New(cfg Config) (*Cluster, error) {
 		if hd.Spec.Kind == KindServer {
 			c.servers = append(c.servers, hd)
 		}
-		c.sh.AtBarrier(hd.Spec.ArriveAt, "vm-arrive-"+hd.Spec.Name, func() { c.admit(hd) })
+		c.sh.AtBarrier(hd.Spec.ArriveAt, "vm-arrive", func() { c.admit(hd) })
 	}
 
 	// Cluster-wide request stream (open loop, exponential) on the
@@ -723,8 +723,8 @@ func New(cfg Config) (*Cluster, error) {
 	for _, o := range cfg.ZoneOutages {
 		o := o
 		z := c.zones[o.Zone]
-		c.sh.AtBarrier(o.At, "zone-outage-"+z.name, func() { c.startZoneOutage(z, o.For) })
-		c.sh.AtBarrier(o.At+o.For, "zone-restore-"+z.name, func() { c.endZoneOutage(z) })
+		c.sh.AtBarrier(o.At, "zone-outage", func() { c.startZoneOutage(z, o.For) })
+		c.sh.AtBarrier(o.At+o.For, "zone-restore", func() { c.endZoneOutage(z) })
 	}
 	if cfg.Autoscale != nil {
 		// Registered after the watch epoch task: at a shared instant the

@@ -140,12 +140,12 @@ func (c *Cluster) startMigration(hd *VMHandle, dest *Host) {
 	if copyTime < c.lookahead {
 		copyTime = c.lookahead
 	}
-	c.sh.AtBarrier(now+copyTime, "migrate-copy-"+hd.Spec.Name, func() {
+	c.sh.AtBarrier(now+copyTime, "migrate-copy", func() {
 		// Switchover: freeze scheduler state, seal the gate, carry the
 		// requests no worker has started.
 		snap := hd.host.HV.SnapshotVM(hd.vm)
 		hd.carried = append(hd.carried, hd.gate.Close()...)
-		c.sh.AtBarrier(c.sh.Now()+c.cfg.MigrationPause, "migrate-switch-"+hd.Spec.Name, func() {
+		c.sh.AtBarrier(c.sh.Now()+c.cfg.MigrationPause, "migrate-switch", func() {
 			c.completeMigration(hd, dest, snap)
 		})
 	})

@@ -105,7 +105,7 @@ func (c *Cluster) route(req workload.Request) {
 	host := best.host
 	gate := best.gate
 	hd := best
-	c.sh.Post(ctlShard, host.ID+1, c.lookahead, "deliver-"+hd.Spec.Name, func() {
+	c.sh.Post(ctlShard, host.ID+1, c.lookahead, "deliver", func() {
 		c.deliverReq(hd, host, gate, req)
 	})
 }

@@ -30,13 +30,17 @@ func BenchmarkVM(name string, bench workload.Benchmark, mode workload.SyncMode, 
 // given pCPUs (nil = unpinned).
 func HogVM(name string, hogs int, pins []int) VMSpec {
 	return VMSpec{
-		Name:  name,
-		VCPUs: hogs,
-		Pin:   pins,
-		Attach: func(k *guest.Kernel, seed uint64) *workload.Instance {
-			return workload.NewHog(k, hogs)
-		},
+		Name:   name,
+		VCPUs:  hogs,
+		Pin:    pins,
+		Attach: attachHogs,
 	}
+}
+
+// attachHogs runs one hog per vCPU of the kernel's VM. It captures
+// nothing, so HogVM allocates no closure.
+func attachHogs(k *guest.Kernel, _ uint64) *workload.Instance {
+	return workload.NewHog(k, len(k.CPUs()))
 }
 
 // BackgroundVM builds an interfering VM that loops a real parallel
@@ -90,9 +94,21 @@ func ServerVM(name string, spec workload.ServerSpec, vcpus int, pins []int) (VMS
 	}, stats
 }
 
+// seqPins backs SeqPins for small machines.
+var seqPins = func() (a [64]int) {
+	for i := range a {
+		a[i] = i
+	}
+	return a
+}()
+
 // SeqPins returns [first, first+1, ...] of length n — the standard
-// one-vCPU-per-pCPU pinning of §5.1.
+// one-vCPU-per-pCPU pinning of §5.1. The result may share its backing
+// array with other calls: treat it as read-only.
 func SeqPins(first, n int) []int {
+	if first >= 0 && n >= 0 && first+n <= len(seqPins) {
+		return seqPins[first : first+n : first+n]
+	}
 	pins := make([]int, n)
 	for i := range pins {
 		pins[i] = first + i

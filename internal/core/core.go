@@ -222,11 +222,18 @@ func Build(scn Scenario) (*Cluster, error) {
 	hc.Metrics = scn.Metrics
 	hc.Faults = inj
 	if scn.TuneHV != nil {
-		scn.TuneHV(&hc)
+		hc = tuned(hc, scn.TuneHV)
 	}
 	hv := hypervisor.New(eng, hc)
 
-	c := &Cluster{Scenario: scn, Engine: eng, HV: hv, Faults: inj}
+	c := &Cluster{
+		Scenario:  scn,
+		Engine:    eng,
+		HV:        hv,
+		Faults:    inj,
+		Kernels:   make([]*guest.Kernel, 0, len(scn.VMs)),
+		Instances: make([]*workload.Instance, 0, len(scn.VMs)),
+	}
 	if scn.Invariants {
 		c.Checker = invariant.New(scn.AuditInterval)
 		c.Checker.Observe(hv)
@@ -258,7 +265,7 @@ func Build(scn Scenario) (*Cluster, error) {
 		gc.Faults = inj
 		gc.Seed = scn.Seed ^ uint64(vi+1)*0x9e37
 		if scn.TuneGuest != nil {
-			scn.TuneGuest(spec.Name, &gc)
+			gc = tuned(gc, func(c *guest.Config) { scn.TuneGuest(spec.Name, c) })
 		}
 		kern := guest.NewKernel(hv, vm, gc)
 		c.Kernels = append(c.Kernels, kern)
@@ -283,6 +290,13 @@ func Build(scn Scenario) (*Cluster, error) {
 		c.Checker.Attach(eng)
 	}
 	return c, nil
+}
+
+// tuned returns cfg adjusted by tune. Taking the address inside this
+// helper keeps the caller's config on the stack when no hook is set.
+func tuned[C any](cfg C, tune func(*C)) C {
+	tune(&cfg)
+	return cfg
 }
 
 // instIsEndless reports whether the instance never completes (hogs).

@@ -29,6 +29,29 @@ type CPU struct {
 	// execGen invalidates in-flight deferred work across suspends.
 	execGen uint64
 
+	// Event callbacks, each bound on first use so re-arming allocates
+	// nothing: startFn is startCur as an execAfter continuation, deferFn
+	// runs the pending deferral, segFn completes the compute segment and
+	// spinFn fires the spin-budget timer.
+	startFn, deferFn, segFn, spinFn func()
+	// defer* is the execAfter deferral deferFn runs; deferCont is nil
+	// while the slot is free. Two deferrals can be pending at once (a
+	// kick dispatches a task while a Resume's deferral is still in
+	// flight), so one that finds the slot taken carries its own state.
+	deferCont func()
+	deferGen  uint64
+	// segTask/segDone are the task and continuation of the pending
+	// segment completion. There is at most one: executing only drops in
+	// bankCur, which cancels the completion, and a segment only starts
+	// while not executing.
+	segTask *Task
+	segDone func()
+	// spin* is the spin-budget timer spinFn serves; a timer armed while
+	// spinRef is still live carries its own state.
+	spinRef  sim.EventRef
+	spinTask *Task
+	spinW    *spinWait
+
 	sliceUsed   sim.Time
 	lastBalance sim.Time
 	// needResched defers a wakeup/migration preemption to the next
@@ -142,7 +165,7 @@ func (c *CPU) Resume() {
 	if !c.tickArmed && (c.cur != nil || c.rq.Len() > 0) {
 		c.armTick(now)
 	}
-	c.execAfter(cost, c.startCur)
+	c.execAfter(cost, c.startCurFn())
 }
 
 // Suspend is invoked when the vCPU stops executing; it freezes the
@@ -177,7 +200,7 @@ func (c *CPU) TakeIRQ(irq hypervisor.IRQ) {
 		return
 	}
 	cost := c.handleIRQ(irq)
-	c.execAfter(cost, c.startCur)
+	c.execAfter(cost, c.startCurFn())
 }
 
 // Descheduling classifies the preempted vCPU for LHP/LWP accounting.
@@ -234,11 +257,35 @@ func (c *CPU) execAfter(cost sim.Time, fn func()) {
 		return
 	}
 	gen := c.execGen
-	c.kern.eng.After(cost, "guest-exec", func() {
-		if c.running && gen == c.execGen {
-			fn()
+	if c.deferCont != nil {
+		c.kern.eng.After(cost, "guest-exec", func() { c.runDeferred(fn, gen) })
+		return
+	}
+	c.deferCont, c.deferGen = fn, gen
+	if c.deferFn == nil {
+		c.deferFn = func() {
+			fn, gen := c.deferCont, c.deferGen
+			c.deferCont = nil
+			c.runDeferred(fn, gen)
 		}
-	})
+	}
+	c.kern.eng.After(cost, "guest-exec", c.deferFn)
+}
+
+// runDeferred runs a deferral armed at generation gen, unless the vCPU
+// was suspended or interrupted since.
+func (c *CPU) runDeferred(fn func(), gen uint64) {
+	if c.running && gen == c.execGen {
+		fn()
+	}
+}
+
+// startCurFn returns startCur as a continuation for execAfter.
+func (c *CPU) startCurFn() func() {
+	if c.startFn == nil {
+		c.startFn = c.startCur
+	}
+	return c.startFn
 }
 
 // startCur (re)starts whatever the CPU should be doing: pending
@@ -301,9 +348,7 @@ func (c *CPU) startCur() {
 		c.kern.spanSync(t)
 		c.kern.hv.SpinBegin(c.vcpu)
 		if sw.budget > 0 {
-			sw.timeoutEv = c.kern.eng.After(sw.budget-sw.spent, "spin-budget-"+t.Name, func() {
-				c.spinTimeout(t, sw)
-			})
+			sw.timeoutEv = c.armSpinTimeout(t, sw, sw.budget-sw.spent)
 		}
 		return
 	}
@@ -311,17 +356,15 @@ func (c *CPU) startCur() {
 		c.executing = true
 		c.curStart = c.kern.Now()
 		c.kern.spanSync(t)
-		done := t.segDone
-		c.completion = c.kern.eng.After(t.segRemaining, "seg-"+t.Name, func() {
-			if c.cur != t {
-				return
+		c.segTask, c.segDone = t, t.segDone
+		if c.segFn == nil {
+			c.segFn = func() {
+				t, done := c.segTask, c.segDone
+				c.segTask, c.segDone = nil, nil
+				c.completeSegment(t, done)
 			}
-			c.completion = sim.EventRef{}
-			c.bankCur()
-			t.segRemaining = 0
-			t.segDone = nil
-			done()
-		})
+		}
+		c.completion = c.kern.eng.After(t.segRemaining, "seg", c.segFn)
 		return
 	}
 	if t.segDone != nil {
@@ -336,6 +379,35 @@ func (c *CPU) startCur() {
 	// arming the next one (it blocked and was requeued elsewhere, or
 	// exited). Let the scheduler sort it out.
 	c.schedule()
+}
+
+// completeSegment ends t's compute segment and runs its continuation.
+func (c *CPU) completeSegment(t *Task, done func()) {
+	if c.cur != t {
+		return
+	}
+	c.completion = sim.EventRef{}
+	c.bankCur()
+	t.segRemaining = 0
+	t.segDone = nil
+	done()
+}
+
+// armSpinTimeout arms the spin-budget timer of t's wait sw.
+func (c *CPU) armSpinTimeout(t *Task, sw *spinWait, d sim.Time) sim.EventRef {
+	if !c.spinRef.Cancelled() {
+		return c.kern.eng.After(d, "spin-budget", func() { c.spinTimeout(t, sw) })
+	}
+	c.spinTask, c.spinW = t, sw
+	if c.spinFn == nil {
+		c.spinFn = func() {
+			t, sw := c.spinTask, c.spinW
+			c.spinTask, c.spinW = nil, nil
+			c.spinTimeout(t, sw)
+		}
+	}
+	c.spinRef = c.kern.eng.After(d, "spin-budget", c.spinFn)
+	return c.spinRef
 }
 
 // endSpin clears a consumed or abandoned spin wait.
@@ -402,7 +474,7 @@ func (c *CPU) dispatchTask(next *Task) {
 	if !c.tickArmed {
 		c.armTick(c.kern.Now())
 	}
-	c.execAfter(c.kern.cfg.CtxSwitchCost, c.startCur)
+	c.execAfter(c.kern.cfg.CtxSwitchCost, c.startCurFn())
 }
 
 // setNeedResched requests a reschedule of CPU c. A CPU that is actively
@@ -471,7 +543,7 @@ func (c *CPU) goIdle() {
 			for _, irq := range irqs {
 				cost += c.handleIRQ(irq)
 			}
-			c.execAfter(cost, c.startCur)
+			c.execAfter(cost, c.startCurFn())
 		}
 		return
 	}

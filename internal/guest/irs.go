@@ -60,6 +60,9 @@ type migrator struct {
 	queue   []migrItem
 	waiting bool
 	busy    bool
+	// runFn is the migrator run armed by kick, bound on first use; busy
+	// keeps at most one run pending.
+	runFn func()
 	// retrying holds tasks parked in a backoff wait between migration
 	// attempts (Config.MigratorRetries); the invariant audit uses it to
 	// locate every TaskMigrating task.
@@ -97,10 +100,13 @@ func (m *migrator) kick() {
 	// every queued migration (drainSync is unaffected: a CPU about to
 	// idle settles its landing spot synchronously either way).
 	delay := m.kern.cfg.MigratorCost + m.kern.cfg.Faults.MigratorStall()
-	m.kern.eng.After(delay, "irs-migrator", func() {
-		m.busy = false
-		m.drain()
-	})
+	if m.runFn == nil {
+		m.runFn = func() {
+			m.busy = false
+			m.drain()
+		}
+	}
+	m.kern.eng.After(delay, "irs-migrator", m.runFn)
 }
 
 // runnerCPU finds an executing vCPU for the migrator to run on.
@@ -281,7 +287,7 @@ func (k *Kernel) MigrationLatencyProbe(t *Task, dst *CPU, done func(sim.Time)) {
 	// actually runs; if the vCPU is (or becomes) preempted, the work
 	// waits in the stopper queue until the vCPU resumes.
 	if src.running {
-		k.eng.After(k.cfg.StopperCost, "stopper-"+t.Name, func() {
+		k.eng.After(k.cfg.StopperCost, "stopper", func() {
 			if src.running {
 				work()
 				return

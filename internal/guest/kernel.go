@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fault"
 	"repro/internal/hypervisor"
@@ -121,13 +122,13 @@ type Kernel struct {
 	vm   *hypervisor.VM
 	cfg  Config
 	cpus []*CPU
-	rng  *sim.RNG
+	rng  sim.RNG
 
 	tasks      []*Task
 	nextTaskID int
 	liveTasks  int
 
-	migrator *migrator
+	migrator migrator
 	// spanObs is set once the per-vCPU span observers are registered
 	// (first AttachSpan).
 	spanObs bool
@@ -167,12 +168,14 @@ type Kernel struct {
 // hypervisor. Call Start to bring the vCPUs online.
 func NewKernel(hv *hypervisor.Hypervisor, vm *hypervisor.VM, cfg Config) *Kernel {
 	k := &Kernel{
-		eng: hv.Engine(),
-		hv:  hv,
-		vm:  vm,
-		cfg: cfg,
-		rng: sim.NewRNG(cfg.Seed ^ uint64(vm.ID)<<32 ^ 0x6e51),
+		eng:  hv.Engine(),
+		hv:   hv,
+		vm:   vm,
+		cfg:  cfg,
+		rng:  *sim.NewRNG(cfg.Seed ^ uint64(vm.ID)<<32 ^ 0x6e51),
+		cpus: make([]*CPU, len(vm.VCPUs)),
 	}
+	k.migrator.kern = k
 	reg := cfg.Metrics
 	vmL := obs.Labels{Sub: "guest", VM: vm.Name}
 	k.mTaskMigr = reg.Counter("guest_task_migrations_total", vmL)
@@ -186,13 +189,16 @@ func NewKernel(hv *hypervisor.Hypervisor, vm *hypervisor.VM, cfg Config) *Kernel
 	k.mSADupSupp = reg.Counter("guest_sa_dup_suppressed_total", vmL)
 	k.mMigrRetry = reg.Counter("guest_migrator_retries_total", vmL)
 	k.mWakeRecover = reg.Counter("guest_wake_poll_recoveries_total", vmL)
+	cpus := make([]CPU, len(vm.VCPUs))
 	for i, v := range vm.VCPUs {
-		c := &CPU{kern: k, id: i, vcpu: v}
-		c.mRTAvg = reg.Gauge("guest_rt_avg", obs.Labels{Sub: "guest", VM: vm.Name, CPU: fmt.Sprintf("cpu%d", i)})
-		k.cpus = append(k.cpus, c)
+		c := &cpus[i]
+		c.kern, c.id, c.vcpu = k, i, v
+		if reg != nil {
+			c.mRTAvg = reg.Gauge("guest_rt_avg", obs.Labels{Sub: "guest", VM: vm.Name, CPU: "cpu" + strconv.Itoa(i)})
+		}
+		k.cpus[i] = c
 		hv.RegisterGuest(v, c)
 	}
-	k.migrator = &migrator{kern: k}
 	return k
 }
 
@@ -222,7 +228,7 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 func (k *Kernel) Now() sim.Time { return k.eng.Now() }
 
 // RNG returns the kernel's deterministic random stream.
-func (k *Kernel) RNG() *sim.RNG { return k.rng }
+func (k *Kernel) RNG() *sim.RNG { return &k.rng }
 
 // Tasks returns all spawned tasks.
 func (k *Kernel) Tasks() []*Task { return k.tasks }
@@ -249,7 +255,7 @@ func (k *Kernel) Spawn(name string, prog Program, cpu int) *Task {
 	k.liveTasks++
 	c := t.cpu
 	t.vruntime = c.minVruntime()
-	t.pending = func() { k.step(t) }
+	t.pending = t.stepCallback()
 	c.rq.Enqueue(t)
 	k.kickCPU(c)
 	return t
@@ -266,15 +272,9 @@ func (k *Kernel) step(t *Task) {
 	case ActExit:
 		k.exitTask(t)
 	case ActRun:
-		done := act.Done
+		t.actDone = act.Done
 		t.segRemaining = act.Dur
-		t.segDone = func() {
-			if done == nil {
-				k.step(t)
-				return
-			}
-			done(t, func() { k.step(t) })
-		}
+		t.segDone = t.finishCallback()
 		t.cpu.startSegment(t)
 	default:
 		panic(fmt.Sprintf("guest: bad action kind %d from %s", act.Kind, t.Name))
@@ -341,7 +341,7 @@ func (k *Kernel) traceTask(t *Task, format string, args ...any) {
 // runs cont. (The wakeup timer is modelled as an engine event rather
 // than a guest timer interrupt; see DESIGN.md.)
 func (k *Kernel) SleepTask(t *Task, d sim.Time, cont func()) {
-	k.eng.After(d, "sleep-"+t.Name, func() {
+	k.eng.After(d, "sleep", func() {
 		if t.state == TaskBlocked {
 			k.WakeTask(t, cont)
 		}

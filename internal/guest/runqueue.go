@@ -33,7 +33,11 @@ func (rq *runQueue) PickNext() *Task {
 		return nil
 	}
 	t := rq.tasks[0]
-	rq.tasks = rq.tasks[1:]
+	// Shift down rather than reslice, so the backing array keeps its
+	// capacity and the next Enqueue does not reallocate.
+	n := copy(rq.tasks, rq.tasks[1:])
+	rq.tasks[n] = nil
+	rq.tasks = rq.tasks[:n]
 	rq.updateMin(t.vruntime)
 	return t
 }

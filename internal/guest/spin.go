@@ -64,5 +64,5 @@ func (k *Kernel) resumeSpinner(t *Task) {
 		c.bankCur()
 		c.execGen++
 	}
-	c.execAfter(spinGrantCost, c.startCur)
+	c.execAfter(spinGrantCost, c.startCurFn())
 }

@@ -117,6 +117,11 @@ type Task struct {
 	// Current compute segment.
 	segRemaining sim.Time
 	segDone      func()
+	// actDone is the completion of the program action in progress.
+	// stepFn (Kernel.step) and finishFn (finishAction) are bound on
+	// first use, so stepping a program allocates nothing itself.
+	actDone          func(t *Task, resume func())
+	stepFn, finishFn func()
 	// pending is executed the next time the task gets on CPU, before
 	// resuming any compute segment (continuation after a wakeup).
 	pending func()
@@ -149,6 +154,36 @@ type Task struct {
 	CPUTime    sim.Time
 	Migrations int64
 	exited     bool
+}
+
+// stepCallback returns the continuation that asks the program for its
+// next action.
+func (t *Task) stepCallback() func() {
+	if t.stepFn == nil {
+		t.stepFn = func() { t.kern.step(t) }
+	}
+	return t.stepFn
+}
+
+// finishCallback returns the segment continuation that completes the
+// current action.
+func (t *Task) finishCallback() func() {
+	if t.finishFn == nil {
+		t.finishFn = t.finishAction
+	}
+	return t.finishFn
+}
+
+// finishAction runs the completion of the action whose compute
+// segment just ended, then steps the program.
+func (t *Task) finishAction() {
+	done := t.actDone
+	t.actDone = nil
+	if done == nil {
+		t.kern.step(t)
+		return
+	}
+	done(t, t.stepCallback())
 }
 
 // State returns the task's current state.

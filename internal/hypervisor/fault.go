@@ -54,7 +54,7 @@ func (h *Hypervisor) PauseVCPU(v *VCPU, dur sim.Time) {
 		h.deschedule(p, StateRunnable, true)
 		h.dispatch(p)
 	}
-	h.eng.After(dur, "fault-unpause-"+v.Name(), func() {
+	h.eng.After(dur, "fault-unpause", func() {
 		if v.assigned != nil {
 			h.checkPreempt(v.assigned)
 		}

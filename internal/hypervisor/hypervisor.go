@@ -166,7 +166,7 @@ type Hypervisor struct {
 	cfg   Config
 	pcpus []*PCPU
 	vms   []*VM
-	rng   *sim.RNG
+	rng   sim.RNG
 
 	gangSlot   int
 	gangActive *VM
@@ -210,46 +210,30 @@ func New(eng *sim.Engine, cfg Config) *Hypervisor {
 		panic("hypervisor: TickJitter must be in [0, 1)")
 	}
 	h := &Hypervisor{
-		eng: eng,
-		cfg: cfg,
-		rng: sim.NewRNG(cfg.Seed ^ 0xda7a5eed),
+		eng:   eng,
+		cfg:   cfg,
+		rng:   *sim.NewRNG(cfg.Seed ^ 0xda7a5eed),
+		pcpus: make([]*PCPU, cfg.PCPUs),
 	}
 	reg := cfg.Metrics
 	h.mStealAttempts = reg.Counter("hv_steal_attempts_total", obs.Labels{Sub: "hv"})
 	h.mStealMoves = reg.Counter("hv_steal_moves_total", obs.Labels{Sub: "hv"})
 	h.mVCPUMigr = reg.Counter("hv_vcpu_migrations_total", obs.Labels{Sub: "hv"})
 	h.mPLEYields = reg.Counter("hv_ple_yields_total", obs.Labels{Sub: "hv"})
-	for i := 0; i < cfg.PCPUs; i++ {
-		p := &PCPU{ID: i, hv: h}
-		p.sliceName = "xen-slice-" + p.Name()
-		p.sliceFn = func() { h.sliceExpired(p) }
-		p.mSwitches = reg.Counter("hv_ctx_switches_total", obs.Labels{Sub: "hv", CPU: p.Name()})
-		reg.GaugeFunc("hv_runq_len", obs.Labels{Sub: "hv", CPU: p.Name()}, func() float64 {
-			n := p.QueueLen()
-			if p.current != nil {
-				n++
-			}
-			return float64(n)
-		})
-		h.pcpus = append(h.pcpus, p)
+	pcpus := make([]PCPU, cfg.PCPUs)
+	for i := range pcpus {
+		p := &pcpus[i]
+		p.ID, p.hv = i, h
+		h.pcpus[i] = p
+		if reg != nil {
+			p.registerMetrics(reg)
+		}
 		if cfg.TickJitter > 0 {
-			// Jittered-tick defense: each pCPU owns a self-re-arming tick
-			// chain whose next delay is drawn from an independent stream,
-			// so a guest cannot predict sampling instants from wall time.
-			tickRNG := h.rng.Fork(0x71c0 + uint64(i))
-			name := fmt.Sprintf("xen-tick-%s", p.Name())
-			var arm func()
-			arm = func() {
-				h.eng.After(tickRNG.Jitter(cfg.Tick, cfg.TickJitter), name, func() {
-					h.tick(p)
-					arm()
-				})
-			}
-			arm()
+			h.armJitteredTick(p, h.rng.Fork(0x71c0+uint64(i)))
 		} else {
 			// All pCPU ticks share one aligned grid, as in Xen where the
 			// credit scheduler's ticks derive from a common periodic timer.
-			eng.Every(cfg.Tick, fmt.Sprintf("xen-tick-%s", p.Name()), func() { h.tick(p) })
+			eng.Every(cfg.Tick, "xen-tick", func() { h.tick(p) })
 		}
 	}
 	eng.Every(cfg.AccountPeriod, "xen-account", h.account)
@@ -260,6 +244,31 @@ func New(eng *sim.Engine, cfg Config) *Hypervisor {
 		eng.Every(every, "fault-blackout", func() { h.blackout(dur) })
 	}
 	return h
+}
+
+// armJitteredTick starts the jittered-tick defense on p: the pCPU owns
+// a self-re-arming tick chain whose next delay is drawn from an
+// independent stream, so a guest cannot predict sampling instants from
+// wall time.
+func (h *Hypervisor) armJitteredTick(p *PCPU, rng *sim.RNG) {
+	var fire func()
+	fire = func() {
+		h.tick(p)
+		h.eng.After(rng.Jitter(h.cfg.Tick, h.cfg.TickJitter), "xen-tick", fire)
+	}
+	h.eng.After(rng.Jitter(h.cfg.Tick, h.cfg.TickJitter), "xen-tick", fire)
+}
+
+func (p *PCPU) registerMetrics(reg *obs.Registry) {
+	l := obs.Labels{Sub: "hv", CPU: p.Name()}
+	p.mSwitches = reg.Counter("hv_ctx_switches_total", l)
+	reg.GaugeFunc("hv_runq_len", l, func() float64 {
+		n := p.QueueLen()
+		if p.current != nil {
+			n++
+		}
+		return float64(n)
+	})
 }
 
 // SetOccupancyObserver registers fn to receive every completed pCPU
@@ -315,6 +324,7 @@ func (h *Hypervisor) NewVM(name string, nvcpus, weight int, saCapable bool) *VM 
 		Weight:    weight,
 		hv:        h,
 		SACapable: saCapable,
+		VCPUs:     make([]*VCPU, nvcpus),
 	}
 	reg := h.cfg.Metrics
 	vmL := obs.Labels{Sub: "hv", VM: name}
@@ -330,26 +340,29 @@ func (h *Hypervisor) NewVM(name string, nvcpus, weight int, saCapable bool) *VM 
 	vm.mBoost = reg.Counter("hv_boost_total", vmL)
 	vm.mCredits = reg.Counter("hv_credits_granted_total", vmL)
 	vm.mDebited = reg.Counter("hv_credits_debited_total", vmL)
-	for i := 0; i < nvcpus; i++ {
-		v := &VCPU{
-			ID:       i,
-			VM:       vm,
-			hv:       h,
-			state:    StateOffline,
-			prio:     PrioUnder,
-			assigned: h.pcpus[i%len(h.pcpus)],
-		}
+	vcpus := make([]VCPU, nvcpus)
+	for i := range vcpus {
+		v := &vcpus[i]
+		v.ID, v.VM, v.hv = i, vm, h
+		v.state, v.prio = StateOffline, PrioUnder
+		v.assigned = h.pcpus[i%len(h.pcpus)]
 		if reg != nil {
-			vL := obs.Labels{Sub: "hv", VM: name, CPU: v.Name()}
-			for s := StateRunning; s <= StateOffline; s++ {
-				v.mState[s] = reg.Counter("hv_runstate_ns", obs.Labels{Sub: "hv", VM: name, CPU: v.Name(), Kind: s.String()})
-			}
-			v.mPreempt = reg.Counter("hv_preemptions_total", vL)
+			v.registerMetrics(reg)
 		}
-		vm.VCPUs = append(vm.VCPUs, v)
+		vm.VCPUs[i] = v
 	}
 	h.vms = append(h.vms, vm)
 	return vm
+}
+
+func (v *VCPU) registerMetrics(reg *obs.Registry) {
+	l := obs.Labels{Sub: "hv", VM: v.VM.Name, CPU: v.Name()}
+	for s := StateRunning; s <= StateOffline; s++ {
+		sl := l
+		sl.Kind = s.String()
+		v.mState[s] = reg.Counter("hv_runstate_ns", sl)
+	}
+	v.mPreempt = reg.Counter("hv_preemptions_total", l)
 }
 
 // RegisterGuest binds the guest-kernel context for one vCPU.

@@ -1,7 +1,7 @@
 package hypervisor
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -12,18 +12,18 @@ import (
 // class, exactly like Xen's credit scheduler.
 type PCPU struct {
 	ID      int
+	name    string // built on first Name call
 	hv      *Hypervisor
 	current *VCPU
 	runq    []*VCPU
 
 	sliceEnd sim.EventRef // end of the current 30 ms timeslice
 
-	// sliceName/sliceFn are the timeslice event's label and callback,
-	// built once at construction: re-arming happens on every context
-	// switch, and allocating a fresh string + closure there put ~9
-	// allocs/op on an otherwise allocation-free hot path.
-	sliceName string
-	sliceFn   func()
+	// sliceFn and ratelimitFn are the timeslice-expiry and
+	// ratelimit-recheck callbacks, bound on first use: re-arming happens
+	// on every context switch, and a fresh closure there put an
+	// allocation on an otherwise allocation-free hot path.
+	sliceFn, ratelimitFn func()
 
 	// saWait is set while the pCPU stalls a preemption waiting for the
 	// guest to acknowledge a scheduler activation.
@@ -51,7 +51,29 @@ func (p *PCPU) snapshotLoad() {
 }
 
 // Name returns a short identifier such as "p3".
-func (p *PCPU) Name() string { return fmt.Sprintf("p%d", p.ID) }
+func (p *PCPU) Name() string {
+	if p.name == "" {
+		p.name = "p" + strconv.Itoa(p.ID)
+	}
+	return p.name
+}
+
+// sliceCallback returns the timeslice-expiry callback.
+func (p *PCPU) sliceCallback() func() {
+	if p.sliceFn == nil {
+		p.sliceFn = func() { p.hv.sliceExpired(p) }
+	}
+	return p.sliceFn
+}
+
+// ratelimitCallback returns the callback that re-checks a wakeup
+// preemption once the running vCPU has used up its ratelimit.
+func (p *PCPU) ratelimitCallback() func() {
+	if p.ratelimitFn == nil {
+		p.ratelimitFn = func() { p.hv.checkPreempt(p) }
+	}
+	return p.ratelimitFn
+}
 
 // Current returns the vCPU executing on this pCPU, or nil when idle.
 func (p *PCPU) Current() *VCPU { return p.current }

@@ -8,6 +8,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -119,10 +120,11 @@ func (c PreemptClass) String() string {
 
 // VCPU is one virtual CPU of a VM.
 type VCPU struct {
-	ID  int
-	VM  *VM
-	hv  *Hypervisor
-	ctx GuestContext
+	ID   int
+	VM   *VM
+	hv   *Hypervisor
+	ctx  GuestContext
+	name string // built on first Name call: only traces and labels read it
 
 	state      RunState
 	stateSince sim.Time
@@ -148,6 +150,7 @@ type VCPU struct {
 	saPending  bool         // an SA notification awaits guest acknowledgement
 	saSentAt   sim.Time     // when the pending SA was sent
 	saDeadline sim.EventRef // hard limit for SA completion
+	saPCPU     *PCPU        // pCPU whose preemption the open SA stalls
 
 	// Circuit-breaker state (cfg.SABreakerN): consecutive hard-limit
 	// expiries without an intervening ack, and when the breaker opened.
@@ -194,13 +197,48 @@ type VCPU struct {
 	// notification free) otherwise.
 	observer func()
 
+	// pleFn, timerFn and saLimitFn are the PLE-window, one-shot-timer
+	// and SA-hard-limit callbacks. Each is bound on first use (most
+	// strategies never arm most of them), so re-arming allocates
+	// nothing.
+	pleFn, timerFn, saLimitFn func()
+
 	// Metric handles (nil, hence no-op, without a registry).
 	mState   [StateOffline + 1]*obs.Counter // cumulative ns per runstate
 	mPreempt *obs.Counter
 }
 
 // Name returns a short identifier such as "vm1/v2".
-func (v *VCPU) Name() string { return fmt.Sprintf("%s/v%d", v.VM.Name, v.ID) }
+func (v *VCPU) Name() string {
+	if v.name == "" {
+		v.name = v.VM.Name + "/v" + strconv.Itoa(v.ID)
+	}
+	return v.name
+}
+
+func (v *VCPU) pleCallback() func() {
+	if v.pleFn == nil {
+		v.pleFn = func() { v.hv.pleExit(v) }
+	}
+	return v.pleFn
+}
+
+func (v *VCPU) timerCallback() func() {
+	if v.timerFn == nil {
+		v.timerFn = func() {
+			v.timer = sim.EventRef{}
+			v.hv.SendIRQ(v, IRQTimer)
+		}
+	}
+	return v.timerFn
+}
+
+func (v *VCPU) saLimitCallback() func() {
+	if v.saLimitFn == nil {
+		v.saLimitFn = func() { v.hv.saExpire(v.saPCPU, v) }
+	}
+	return v.saLimitFn
+}
 
 // State returns the current hypervisor run state.
 func (v *VCPU) State() RunState { return v.state }

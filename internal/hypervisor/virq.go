@@ -46,7 +46,7 @@ func (h *Hypervisor) SendIRQ(v *VCPU, irq IRQ) {
 					h.deliverIRQ(v, irq)
 					continue
 				}
-				h.eng.After(d, "fault-wake-delay-"+v.Name(), func() {
+				h.eng.After(d, "fault-wake-delay", func() {
 					if v.state != StateOffline {
 						h.deliverIRQ(v, irq)
 					}

@@ -205,34 +205,51 @@ type entry struct {
 	fn      func() float64
 }
 
-// key is the unique identity of an entry.
-func (e *entry) key() string { return e.name + e.labels.String() }
+// key is the unique identity of an entry. It is compared as a struct,
+// so registration and lookup format nothing; the Prometheus label
+// string is rendered only at export time.
+type key struct {
+	name   string
+	labels Labels
+}
 
 // Registry holds every registered metric of a run. The zero value is
 // not usable; call NewRegistry. A nil *Registry is a valid "collection
 // off" registry: its getters return nil handles.
 type Registry struct {
-	byKey map[string]*entry
+	byKey map[key]*entry
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byKey: map[string]*entry{}}
+	return &Registry{byKey: map[key]*entry{}}
 }
 
 // get returns the existing entry for (name, labels) or registers a new
 // one of the given kind. Re-registering under a different kind is a
 // programming error and panics.
 func (r *Registry) get(name string, l Labels, k metricKind) *entry {
-	e := &entry{name: name, labels: l, kind: k}
-	if old, ok := r.byKey[e.key()]; ok {
+	if old, ok := r.byKey[key{name, l}]; ok {
 		if old.kind != k {
 			panic(fmt.Sprintf("obs: metric %s%s registered as %s and %s", name, l, old.kind, k))
 		}
 		return old
 	}
-	r.byKey[e.key()] = e
+	e := &entry{name: name, labels: l, kind: k}
+	r.byKey[key{name, l}] = e
 	return e
+}
+
+// find returns the entry registered under (name, labels) if it has kind
+// k, without registering.
+func (r *Registry) find(name string, l Labels, k metricKind) *entry {
+	if r == nil {
+		return nil
+	}
+	if e, ok := r.byKey[key{name, l}]; ok && e.kind == k {
+		return e
+	}
+	return nil
 }
 
 // Counter returns (registering on first use) the counter for
@@ -310,21 +327,30 @@ func (r *Registry) Len() int {
 }
 
 // sortedEntries returns the entries ordered by name then label string,
-// the deterministic iteration order behind every exporter.
+// the deterministic iteration order behind every exporter. Each label
+// string is rendered once per call, not once per comparison.
 func (r *Registry) sortedEntries() []*entry {
 	if r == nil {
 		return nil
 	}
-	es := make([]*entry, 0, len(r.byKey))
-	for _, e := range r.byKey {
-		es = append(es, e)
+	type sortable struct {
+		e      *entry
+		labels string
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].name != es[j].name {
-			return es[i].name < es[j].name
+	ss := make([]sortable, 0, len(r.byKey))
+	for _, e := range r.byKey {
+		ss = append(ss, sortable{e, e.labels.String()})
+	}
+	sort.Slice(ss, func(i, j int) bool {
+		if ss[i].e.name != ss[j].e.name {
+			return ss[i].e.name < ss[j].e.name
 		}
-		return es[i].labels.String() < es[j].labels.String()
+		return ss[i].labels < ss[j].labels
 	})
+	es := make([]*entry, len(ss))
+	for i, s := range ss {
+		es[i] = s.e
+	}
 	return es
 }
 
@@ -351,12 +377,8 @@ func (r *Registry) Visit(fn func(name string, l Labels, counter *Counter, gauge 
 // FindSketch returns the sketch registered under (name, labels), or
 // nil when absent. It never registers.
 func (r *Registry) FindSketch(name string, l Labels) *Sketch {
-	if r == nil {
-		return nil
-	}
-	e := &entry{name: name, labels: l}
-	if old, ok := r.byKey[e.key()]; ok && old.kind == kindSketch {
-		return old.sketch
+	if e := r.find(name, l, kindSketch); e != nil {
+		return e.sketch
 	}
 	return nil
 }
@@ -365,12 +387,8 @@ func (r *Registry) FindSketch(name string, l Labels) *Sketch {
 // or nil when absent (or on a nil registry). Unlike Histogram it never
 // registers.
 func (r *Registry) FindHistogram(name string, l Labels) *Histogram {
-	if r == nil {
-		return nil
-	}
-	e := &entry{name: name, labels: l}
-	if old, ok := r.byKey[e.key()]; ok && old.kind == kindHistogram {
-		return old.hist
+	if e := r.find(name, l, kindHistogram); e != nil {
+		return e.hist
 	}
 	return nil
 }
@@ -378,12 +396,8 @@ func (r *Registry) FindHistogram(name string, l Labels) *Histogram {
 // FindCounter returns the counter registered under (name, labels), or
 // nil when absent. It never registers.
 func (r *Registry) FindCounter(name string, l Labels) *Counter {
-	if r == nil {
-		return nil
-	}
-	e := &entry{name: name, labels: l}
-	if old, ok := r.byKey[e.key()]; ok && old.kind == kindCounter {
-		return old.counter
+	if e := r.find(name, l, kindCounter); e != nil {
+		return e.counter
 	}
 	return nil
 }

@@ -28,7 +28,7 @@ type Sampler struct {
 	reg      *Registry
 	interval sim.Time
 	eng      *sim.Engine
-	series   map[string]*Series
+	series   map[key]*Series
 	samples  int
 
 	// OnPoint, when non-nil, observes every sampled point as it is
@@ -47,7 +47,7 @@ func NewSampler(reg *Registry, interval sim.Time) *Sampler {
 	if interval <= 0 {
 		panic("obs: NewSampler needs a positive interval")
 	}
-	return &Sampler{reg: reg, interval: interval, series: map[string]*Series{}}
+	return &Sampler{reg: reg, interval: interval, series: map[key]*Series{}}
 }
 
 // Interval returns the sampling cadence.
@@ -107,11 +107,10 @@ func (s *Sampler) sample() {
 }
 
 func (s *Sampler) append(name string, l Labels, at sim.Time, v float64) {
-	key := name + l.String()
-	se := s.series[key]
+	se := s.series[key{name, l}]
 	if se == nil {
 		se = &Series{Name: name, Labels: l}
-		s.series[key] = se
+		s.series[key{name, l}] = se
 	}
 	se.Points = append(se.Points, Point{At: at, V: v})
 	if s.OnPoint != nil {
@@ -142,5 +141,5 @@ func (s *Sampler) SeriesByName(name string, l Labels) *Series {
 	if s == nil {
 		return nil
 	}
-	return s.series[name+l.String()]
+	return s.series[key{name, l}]
 }

@@ -57,16 +57,27 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of queued events (for diagnostics).
 func (e *Engine) Pending() int { return e.queue.len() }
 
-// alloc takes an Event from the free list, or heap-allocates the first
-// time a slot is needed.
+// eventChunk is how many Event objects alloc carves from one heap
+// allocation when the free list runs dry.
+const eventChunk = 8
+
+// alloc takes an Event from the free list, refilling it a chunk of
+// events at a time.
 func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+	if len(e.free) == 0 {
+		chunk := make([]Event, eventChunk)
+		if e.free == nil {
+			e.free = make([]*Event, 0, eventChunk)
+		}
+		for i := range chunk {
+			e.free = append(e.free, &chunk[i])
+		}
 	}
-	return &Event{}
+	n := len(e.free)
+	ev := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	return ev
 }
 
 // release invalidates every outstanding handle to ev and returns the
@@ -74,7 +85,6 @@ func (e *Engine) alloc() *Event {
 func (e *Engine) release(ev *Event) {
 	ev.gen++
 	ev.fn = nil
-	ev.name = ""
 	ev.period = 0
 	ev.index = -1
 	e.free = append(e.free, ev)
@@ -84,6 +94,11 @@ func (e *Engine) release(ev *Event) {
 // programming error: it would silently corrupt causality. Without an
 // OnViolation hook it panics; with one it reports the violation and
 // clamps the event to now.
+//
+// name labels the event in violation reports only; the engine does not
+// store it. Callers pass a constant ("xen-timer", "seg", ...): building
+// a label per event costs an allocation on the hottest path in the
+// simulator for a string that is almost never read.
 func (e *Engine) At(t Time, name string, fn func()) EventRef {
 	if t < e.now {
 		t = e.schedulePastViolation(t, name)
@@ -91,7 +106,6 @@ func (e *Engine) At(t Time, name string, fn func()) EventRef {
 	ev := e.alloc()
 	ev.at = t
 	ev.fn = fn
-	ev.name = name
 	ev.seq = e.seq
 	e.seq++
 	e.queue.push(ev)

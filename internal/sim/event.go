@@ -13,7 +13,6 @@ type Event struct {
 	gen    uint64 // bumped every time the object is released for reuse
 	period Time   // if > 0 the engine re-arms the event after it fires
 	index  int32  // heap index; -1 when not queued
-	name   string // label for violation reports and debugging
 }
 
 // EventRef is a generation-stamped handle to a scheduled event. The
@@ -57,7 +56,14 @@ func (q *eventQueue) min() *Event {
 	return q.a[0]
 }
 
+// minQueueCap is the heap's first allocation: enough for a small
+// host's standing timers without regrowing during construction.
+const minQueueCap = 16
+
 func (q *eventQueue) push(ev *Event) {
+	if q.a == nil {
+		q.a = make([]*Event, 0, minQueueCap)
+	}
 	q.a = append(q.a, ev)
 	q.siftUp(len(q.a) - 1)
 }

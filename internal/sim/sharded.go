@@ -75,7 +75,6 @@ type barrierTask struct {
 	at     Time
 	seq    uint64
 	period Time
-	name   string
 	fn     func()
 }
 
@@ -196,7 +195,7 @@ func (s *ShardedEngine) AtBarrier(t Time, name string, fn func()) {
 		s.OnViolation("schedule-in-past", detail)
 		t = s.now
 	}
-	s.tasks = append(s.tasks, &barrierTask{at: t, seq: s.taskSeq, name: name, fn: fn})
+	s.tasks = append(s.tasks, &barrierTask{at: t, seq: s.taskSeq, fn: fn})
 	s.taskSeq++
 }
 
@@ -212,7 +211,7 @@ func (s *ShardedEngine) EveryBarrier(d Time, name string, fn func()) {
 		s.OnViolation("non-positive-period", detail)
 		return
 	}
-	s.tasks = append(s.tasks, &barrierTask{at: s.now + d, seq: s.taskSeq, period: d, name: name, fn: fn})
+	s.tasks = append(s.tasks, &barrierTask{at: s.now + d, seq: s.taskSeq, period: d, fn: fn})
 	s.taskSeq++
 }
 

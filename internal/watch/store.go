@@ -201,7 +201,14 @@ type Store struct {
 	sketchAlpha float64
 	sketchFor   map[string]bool
 
-	entries map[string]*storeEntry
+	entries map[storeKey]*storeEntry
+}
+
+// storeKey identifies a series. It is compared as a struct, so
+// observing a point formats nothing.
+type storeKey struct {
+	name   string
+	labels obs.Labels
 }
 
 type storeEntry struct {
@@ -224,7 +231,7 @@ func NewStore(interval sim.Time, depth int) *Store {
 		depth:       depth,
 		sketchAlpha: obs.DefaultSketchAlpha,
 		sketchFor:   map[string]bool{},
-		entries:     map[string]*storeEntry{},
+		entries:     map[storeKey]*storeEntry{},
 	}
 }
 
@@ -242,7 +249,7 @@ func (st *Store) SketchSeries(names ...string) {
 // Observe folds a point into the series for (name, labels), creating
 // it on first use.
 func (st *Store) Observe(name string, l obs.Labels, at sim.Time, v float64) {
-	key := name + l.String()
+	key := storeKey{name, l}
 	e := st.entries[key]
 	if e == nil {
 		alpha := 0.0
@@ -268,7 +275,7 @@ func (st *Store) Attach(s *obs.Sampler) {
 
 // Series returns the series for (name, labels), or nil.
 func (st *Store) Series(name string, l obs.Labels) *Series {
-	e := st.entries[name+l.String()]
+	e := st.entries[storeKey{name, l}]
 	if e == nil {
 		return nil
 	}
@@ -278,16 +285,19 @@ func (st *Store) Series(name string, l obs.Labels) *Series {
 // Len returns the number of distinct series.
 func (st *Store) Len() int { return len(st.entries) }
 
-// Visit calls fn for every series in deterministic (name, labels)
-// order.
+// Visit calls fn for every series in deterministic order: by the
+// series name followed by its rendered label set.
 func (st *Store) Visit(fn func(name string, l obs.Labels, s *Series)) {
-	keys := make([]string, 0, len(st.entries))
-	for k := range st.entries {
-		keys = append(keys, k)
+	type sortable struct {
+		key string
+		e   *storeEntry
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := st.entries[k]
-		fn(e.name, e.labels, e.series)
+	es := make([]sortable, 0, len(st.entries))
+	for _, e := range st.entries {
+		es = append(es, sortable{e.name + e.labels.String(), e})
+	}
+	sort.Slice(es, func(i, j int) bool { return es[i].key < es[j].key })
+	for _, s := range es {
+		fn(s.e.name, s.e.labels, s.e.series)
 	}
 }

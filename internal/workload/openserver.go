@@ -48,6 +48,17 @@ type openWorker struct {
 	sh   *openServerShared
 	rng  *sim.RNG
 	reqs int
+
+	// The request in progress. A worker serves one request at a time,
+	// so its continuations read this state instead of capturing it, and
+	// are bound once (on first use) instead of allocated per request.
+	t      *guest.Task
+	resume func()
+	req    Request
+	locked bool
+
+	takeFn                             func(t *guest.Task, resume func())
+	retakeFn, servedFn, lockedFn, csFn func()
 }
 
 // Step implements guest.Program: take the next request or sleep.
@@ -56,22 +67,26 @@ func (w *openWorker) Step(t *guest.Task) guest.Action {
 	if t.Kernel().Now() >= sh.until && len(sh.queue) == 0 {
 		return guest.Exit()
 	}
-	return guest.RunThen(0, func(tk *guest.Task, resume func()) {
-		w.take(tk, resume)
-	})
+	if w.takeFn == nil {
+		w.takeFn = w.take
+		w.retakeFn = func() { w.take(w.t, w.resume) }
+		w.servedFn = w.served
+		w.lockedFn = w.lockHeld
+		w.csFn = w.csDone
+	}
+	return guest.RunThen(0, w.takeFn)
 }
 
 // take pops a request and services it, or sleeps until one arrives.
 func (w *openWorker) take(t *guest.Task, resume func()) {
 	sh := w.sh
+	w.t, w.resume = t, resume
 	if len(sh.queue) == 0 {
 		if t.Kernel().Now() >= sh.until {
 			resume() // Step will exit
 			return
 		}
-		sh.sleepers = append(sh.sleepers, openSleeper{t: t, cont: func() {
-			w.take(t, resume)
-		}})
+		sh.sleepers = append(sh.sleepers, openSleeper{t: t, cont: w.retakeFn})
 		t.Kernel().BlockTask(t)
 		return
 	}
@@ -87,42 +102,52 @@ func (w *openWorker) take(t *guest.Task, resume func()) {
 		t.Kernel().AttachSpan(t, req.Span)
 	}
 	w.reqs++
-	locked := sh.spec.LockEvery > 0 && w.reqs%sh.spec.LockEvery == 0
-	service := w.rng.Exp(sh.spec.Service)
-	finish := func() {
-		now := t.Kernel().Now()
-		sh.stats.Requests++
-		lat := now - req.Arrival
-		sh.stats.Latency.Add(lat)
-		if el := now - sh.startedAt; el > sh.stats.Elapsed {
-			sh.stats.Elapsed = el
-		}
-		if sp := t.Kernel().DetachSpan(t); sp != nil {
-			sp.Finish(now)
-		}
-		if g := sh.gate; g != nil {
-			g.inflight--
-			g.served++
-			if g.OnServed != nil {
-				g.OnServed(lat)
-			}
-		}
-		resume()
+	w.req = req
+	w.locked = sh.spec.LockEvery > 0 && w.reqs%sh.spec.LockEvery == 0
+	t.Kernel().RunInTask(t, w.rng.Exp(sh.spec.Service), w.servedFn)
+}
+
+// served runs when the service time has elapsed. Every LockEvery-th
+// request then touches the shared mutex for LockCS — the
+// lock-holder-preemption surface of the open loop.
+func (w *openWorker) served() {
+	if !w.locked {
+		w.finish()
+		return
 	}
-	t.Kernel().RunInTask(t, service, func() {
-		if !locked {
-			finish()
-			return
+	w.sh.mu.Lock(w.t, w.lockedFn)
+}
+
+func (w *openWorker) lockHeld() {
+	w.t.Kernel().RunInTask(w.t, w.sh.spec.LockCS, w.csFn)
+}
+
+func (w *openWorker) csDone() {
+	w.sh.mu.Unlock(w.t)
+	w.finish()
+}
+
+// finish records the completed request and resumes the worker.
+func (w *openWorker) finish() {
+	sh, t := w.sh, w.t
+	now := t.Kernel().Now()
+	sh.stats.Requests++
+	lat := now - w.req.Arrival
+	sh.stats.Latency.Add(lat)
+	if el := now - sh.startedAt; el > sh.stats.Elapsed {
+		sh.stats.Elapsed = el
+	}
+	if sp := t.Kernel().DetachSpan(t); sp != nil {
+		sp.Finish(now)
+	}
+	if g := sh.gate; g != nil {
+		g.inflight--
+		g.served++
+		if g.OnServed != nil {
+			g.OnServed(lat)
 		}
-		// Every LockEvery-th request touches the shared mutex for
-		// LockCS — the lock-holder-preemption surface of the open loop.
-		sh.mu.Lock(t, func() {
-			t.Kernel().RunInTask(t, sh.spec.LockCS, func() {
-				sh.mu.Unlock(t)
-				finish()
-			})
-		})
-	})
+	}
+	w.resume()
 }
 
 // generate schedules the next external arrival.
@@ -143,7 +168,7 @@ func (sh *openServerShared) generate() {
 		sh.sleepers = sh.sleepers[1:]
 		sh.kern.WakeTask(s.t, s.cont)
 	}
-	sh.kern.Engine().After(sh.genRNG.Exp(sh.spec.Arrival), "arrival-"+sh.spec.Name, sh.generate)
+	sh.kern.Engine().After(sh.genRNG.Exp(sh.spec.Arrival), "arrival", sh.generate)
 }
 
 // newOpenServer wires the open-loop variant; called from NewServer when
@@ -170,9 +195,9 @@ func newOpenServer(kern *guest.Kernel, spec ServerSpec, seed uint64, stats *Serv
 			kern.Spawn(fmt.Sprintf("%s-%d", spec.Name, i), w, i%len(kern.CPUs()))
 		}
 		// External clients: arrivals run on the engine, not on a vCPU.
-		kern.Engine().After(sh.genRNG.Exp(spec.Arrival), "arrival-"+spec.Name, sh.generate)
+		kern.Engine().After(sh.genRNG.Exp(spec.Arrival), "arrival", sh.generate)
 		// A final sweep at the deadline releases any sleeping workers.
-		kern.Engine().At(sh.until, "arrival-end-"+spec.Name, sh.generate)
+		kern.Engine().At(sh.until, "arrival-end", sh.generate)
 	}
 	return in
 }

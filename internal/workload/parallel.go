@@ -90,52 +90,79 @@ type parallelProg struct {
 	sh   *parallelShared
 	iter int
 	rng  *sim.RNG
+
+	// The iteration in progress. A thread runs one iteration at a time,
+	// so its continuations read this state instead of capturing it, and
+	// are bound once (on first use) instead of allocated per iteration.
+	t           *guest.Task
+	resume      func()
+	chunk       sim.Time
+	remaining   int
+	needBarrier bool
+
+	barrierFn, chunkFn         func(t *guest.Task, resume func())
+	lockedFn, csDoneFn, nextFn func()
 }
 
 // Step implements guest.Program.
 func (p *parallelProg) Step(t *guest.Task) guest.Action {
-	sp := p.sh.spec
+	sp := &p.sh.spec
 	if p.iter >= sp.Iterations {
 		return guest.Exit()
 	}
 	p.iter++
 	work := p.rng.Jitter(sp.Work, sp.Imbalance)
-	needBarrier := sp.BarrierEvery > 0 && p.iter%sp.BarrierEvery == 0
+	p.needBarrier = sp.BarrierEvery > 0 && p.iter%sp.BarrierEvery == 0
 
 	if sp.LocksPerIter <= 0 {
-		if !needBarrier {
+		if !p.needBarrier {
 			return guest.Run(work)
 		}
-		return guest.RunThen(work, func(t *guest.Task, resume func()) {
-			p.sh.bar.Wait(t, resume)
-		})
+		if p.barrierFn == nil {
+			p.barrierFn = p.sh.bar.Wait
+		}
+		return guest.RunThen(work, p.barrierFn)
 	}
 
 	// Interleave critical sections within the compute: split the work
 	// into LocksPerIter chunks, each followed by lock; CS; unlock.
-	chunk := work / sim.Time(sp.LocksPerIter)
-	remaining := sp.LocksPerIter
-	var doChunk func(t *guest.Task, resume func())
-	doChunk = func(t *guest.Task, resume func()) {
-		p.sh.lk.Lock(t, func() {
-			t.Kernel().RunInTask(t, sp.CSLen, func() {
-				p.sh.lk.Unlock(t)
-				remaining--
-				if remaining == 0 {
-					if needBarrier {
-						p.sh.bar.Wait(t, resume)
-					} else {
-						resume()
-					}
-					return
-				}
-				t.Kernel().RunInTask(t, chunk, func() {
-					doChunk(t, resume)
-				})
-			})
-		})
+	p.chunk = work / sim.Time(sp.LocksPerIter)
+	p.remaining = sp.LocksPerIter
+	if p.chunkFn == nil {
+		p.chunkFn = p.doChunk
+		p.lockedFn = p.locked
+		p.csDoneFn = p.csDone
+		p.nextFn = func() { p.doChunk(p.t, p.resume) }
 	}
-	return guest.RunThen(chunk, doChunk)
+	return guest.RunThen(p.chunk, p.chunkFn)
+}
+
+// doChunk ends a compute chunk by taking the lock.
+func (p *parallelProg) doChunk(t *guest.Task, resume func()) {
+	p.t, p.resume = t, resume
+	p.sh.lk.Lock(t, p.lockedFn)
+}
+
+// locked runs the critical section.
+func (p *parallelProg) locked() {
+	p.t.Kernel().RunInTask(p.t, p.sh.spec.CSLen, p.csDoneFn)
+}
+
+// csDone releases the lock, then computes the next chunk or finishes
+// the iteration (joining the barrier when one is due).
+func (p *parallelProg) csDone() {
+	t := p.t
+	p.sh.lk.Unlock(t)
+	p.remaining--
+	if p.remaining == 0 {
+		if p.needBarrier {
+			p.sh.bar.Wait(t, p.resume)
+		} else {
+			p.resume()
+		}
+		return
+	}
+	t.Kernel().RunInTask(t, p.chunk, p.nextFn)
 }
 
 // Instance is one running workload attached to a guest kernel.
