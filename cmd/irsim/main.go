@@ -42,8 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "log each measurement")
 	parallel := fs.Bool("parallel", true, "fan each figure's simulation matrix across worker goroutines")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "per-host engine shards inside cluster-backed experiments (0 = auto, 1 = serial; output is identical at any setting)")
-	lookahead := fs.Duration("lookahead", 0, "conservative window width for sharded cluster runs (0 = default 250µs; changing it changes results)")
+	lookahead := fs.Duration("lookahead", 0, "conservative window width for cluster runs (0 = default 250µs; changing it changes results)")
 	experiment := fs.String("experiment", "", "experiment id to run (alias for the positional form)")
 	attack := fs.String("attack", "", "attacker spec (e.g. tick-evade,margin=500us); runs it against every accounting defense")
 	expectOvershoot := fs.Float64("expect-overshoot", 0,
@@ -101,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opt := experiments.Options{
 		Runs: *runs, Seed: *seed, Workers: *workers,
-		Shards: *shards, Lookahead: sim.Duration(*lookahead),
+		Lookahead: sim.Duration(*lookahead),
 	}
 	if !*parallel {
 		opt.Workers = 1

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	irsload [-variant 2z8h-outage] [-spec 'topo:zones=2,...'] [-file spec.load]
-//	        [-seed 1] [-shards 0] [-lookahead 250us] [-expect 1.0] [-v]
+//	        [-seed 1] [-lookahead 250us] [-expect 1.0] [-v]
 //
 // Exactly one of -variant, -spec, -file selects the load spec;
 // -variant names a built-in rig (irsload -list shows them).
@@ -39,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	file := fs.String("file", "", "read the load spec from a file")
 	list := fs.Bool("list", false, "list built-in variants and exit")
 	seed := fs.Uint64("seed", 1, "random seed")
-	shards := fs.Int("shards", 0, "engine pool width (0 = auto, 1 = serial)")
 	lookahead := fs.Duration("lookahead", 0, "conservative window override (0 = default)")
 	expect := fs.Float64("expect", -1, "fail unless the post-recovery SLO-violation rate is below this percentage")
 	verbose := fs.Bool("v", false, "echo the parsed spec before running")
@@ -72,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "irsload: %v\n", err)
 		return 2
 	}
-	cfg.Shards = *shards
 	if *lookahead > 0 {
 		cfg.Lookahead = sim.Duration(*lookahead)
 	}

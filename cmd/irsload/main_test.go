@@ -101,8 +101,7 @@ func TestSpecFileAndDeterminism(t *testing.T) {
 		t.Fatalf("-v did not echo the parsed spec:\n%s", out)
 	}
 	// Same spec inline, same seed: identical measurements (the report
-	// header names the source, so compare from the numbers on), serial
-	// or sharded.
+	// header names the source, so compare from the numbers on).
 	results := func(s string) string {
 		if i := strings.Index(s, "served"); i >= 0 {
 			return s[i:]
@@ -112,9 +111,5 @@ func TestSpecFileAndDeterminism(t *testing.T) {
 	_, inline, _ := runCmd(t, "-spec", spec, "-v")
 	if results(inline) != results(out) {
 		t.Fatalf("inline spec differs from file spec:\n%s\n%s", inline, out)
-	}
-	_, serial, _ := runCmd(t, "-spec", spec, "-v", "-shards", "1")
-	if results(serial) != results(out) {
-		t.Fatalf("serial run differs from auto-sharded:\n%s\n%s", serial, out)
 	}
 }

@@ -11,7 +11,7 @@
 //	irsweep -bench streamcluster -inter 0,1,2,4 [-mode spin|block] [-vcpus 4]
 //	        [-unpinned] [-seed S] [-runs N] [-parallel] [-workers N]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-shards N] [-lookahead 250us] [-seed S] [-parallel] [-workers N]
+//	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-lookahead 250us] [-seed S] [-parallel] [-workers N]
 //	irsweep -attack "tick-evade;boost-game,run=2ms" [-seed S] [-parallel] [-workers N]
 //	irsweep -list
 package main
@@ -53,8 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	clusterSweep := fs.Bool("cluster", false, "sweep the multi-host placement variants across rack sizes")
 	hostsList := fs.String("hosts", "2,3,4", "comma-separated host counts for -cluster (per zone when -zones > 1)")
 	zones := fs.Int("zones", 1, "zone count for -cluster: >1 runs each rack size under the two-level zone scheduler")
-	shards := fs.Int("shards", 0, "per-host engine shards inside each -cluster cell (0 = auto, 1 = serial; output is identical at any setting)")
-	lookahead := fs.Duration("lookahead", 0, "conservative window width for sharded -cluster cells (0 = default 250µs; changing it changes results)")
+	lookahead := fs.Duration("lookahead", 0, "conservative window width for -cluster cells (0 = default 250µs; changing it changes results)")
 	attackList := fs.String("attack", "", "semicolon-separated attacker specs to sweep against every accounting defense")
 	parallel := fs.Bool("parallel", true, "fan sweep cells across worker goroutines")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
@@ -118,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "irsweep: bad -zones %d\n", *zones)
 			return 2
 		}
-		return clusterMatrix(stdout, stderr, hosts, *zones, *seed, nWorkers, *shards, sim.Duration(*lookahead))
+		return clusterMatrix(stdout, stderr, hosts, *zones, *seed, nWorkers, sim.Duration(*lookahead))
 	}
 
 	if *attackList != "" {
@@ -222,7 +221,7 @@ func parseIntList(s string) ([]int, bool) {
 // rate) per variant. With zones > 1 each rack size is per zone and
 // every cell runs under the two-level zone scheduler and partitioned
 // router.
-func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, nWorkers, shards int, lookahead sim.Time) int {
+func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, nWorkers int, lookahead sim.Time) int {
 	variants := experiments.ClusterVariants()
 	type cell struct {
 		p99  sim.Time
@@ -241,7 +240,6 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 				if zones > 1 {
 					cfg.Topology = topology.Uniform(zones, n)
 				}
-				cfg.Shards = shards
 				if lookahead > 0 {
 					cfg.Lookahead = lookahead
 				}

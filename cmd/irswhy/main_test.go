@@ -49,7 +49,7 @@ func TestBadInputs(t *testing.T) {
 // TestExpectGatePassesOnOutageTrail is the CI acceptance path: the
 // outage rig's decision trail is exactly the elasticity story.
 func TestExpectGatePassesOnOutageTrail(t *testing.T) {
-	code, out, errOut := runCmd(t, "-shards", "1",
+	code, out, errOut := runCmd(t,
 		"-expect", "cordon,failover,scale-up,scale-up,drain,drain")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
@@ -62,7 +62,7 @@ func TestExpectGatePassesOnOutageTrail(t *testing.T) {
 }
 
 func TestExpectGateFailsOnWrongTrail(t *testing.T) {
-	code, _, errOut := runCmd(t, "-shards", "1", "-expect", "cordon,drain")
+	code, _, errOut := runCmd(t, "-expect", "cordon,drain")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errOut)
 	}
@@ -73,23 +73,23 @@ func TestExpectGateFailsOnWrongTrail(t *testing.T) {
 
 // TestQueryAndTopAreDeterministic pins the whole pipeline: two
 // identical invocations — query, closest calls, trail — must emit
-// byte-identical output regardless of the engine pool width.
+// byte-identical output.
 func TestQueryAndTopAreDeterministic(t *testing.T) {
 	args := []string{"-q", "kind=autoscale", "-top", "3"}
-	_, serial, _ := runCmd(t, append([]string{"-shards", "1"}, args...)...)
-	_, pooled, _ := runCmd(t, append([]string{"-shards", "0"}, args...)...)
-	if serial != pooled {
-		t.Fatalf("output differs between serial and pooled runs:\n--- serial ---\n%s--- pooled ---\n%s", serial, pooled)
+	_, first, _ := runCmd(t, args...)
+	_, second, _ := runCmd(t, args...)
+	if first != second {
+		t.Fatalf("output differs between identical runs:\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
-	if !strings.Contains(serial, "query \"kind=autoscale\": 4 of") {
-		t.Fatalf("query did not match the 4 autoscale decisions:\n%s", serial)
+	if !strings.Contains(first, "query \"kind=autoscale\": 4 of") {
+		t.Fatalf("query did not match the 4 autoscale decisions:\n%s", first)
 	}
 }
 
 func TestJSONExportIsValid(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "decisions.json")
-	code, _, errOut := runCmd(t, "-shards", "1", "-q", "kind=cordon,uncordon,autoscale", "-json", path)
+	code, _, errOut := runCmd(t, "-q", "kind=cordon,uncordon,autoscale", "-json", path)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
 	}
@@ -115,7 +115,7 @@ func TestJSONExportIsValid(t *testing.T) {
 func TestPerfettoExportIsValid(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "decisions.trace")
-	code, _, errOut := runCmd(t, "-shards", "1", "-q", "kind=place", "-perfetto", path)
+	code, _, errOut := runCmd(t, "-q", "kind=place", "-perfetto", path)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
 	}

@@ -6,7 +6,7 @@
 // replicas so cluster-level tail latency and SLO-violation rate become
 // first-class outputs.
 //
-// Execution is a conservative parallel discrete-event simulation
+// Execution is a conservative windowed discrete-event simulation
 // (sim.ShardedEngine): shard 0 is the control plane (arrival stream +
 // router), shards 1..Hosts are the hosts. Each round every shard runs
 // independently up to the lookahead — the router's minimum transit
@@ -14,9 +14,10 @@
 // exchanges cross-host traffic and runs the control-plane tasks
 // (placement, the migration state machine, blackouts, invariant audits,
 // watchdog epochs) with every shard parked at one instant, exactly the
-// semantics they had on a single shared engine. Host shards execute on
-// a bounded goroutine pool (Config.Shards); the output is byte-
-// identical at any pool size by construction.
+// semantics they had on a single shared engine. The coordinator runs
+// the host shards one after another on the calling goroutine: at a
+// few events per window, handing a shard to another core costs more
+// than running it (DESIGN.md §14).
 //
 // The paper fixes lock-holder preemption inside one host; this layer is
 // the deployment surface above it: the per-host steal / preempt-wait /
@@ -27,7 +28,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/decision"
@@ -108,10 +108,9 @@ type Config struct {
 	// Overcommit×PCPUsPerHost (soft for placement fallback).
 	Overcommit float64
 
-	// Shards bounds the goroutine pool that executes host engine
-	// windows: 1 is fully serial, 0 picks min(GOMAXPROCS, Hosts+1).
-	// The pool size is invisible to the simulation — output is
-	// byte-identical at any value.
+	// Shards has no effect: the coordinator always runs host engine
+	// windows serially on the calling goroutine. Negative values are
+	// still rejected.
 	Shards int
 	// Lookahead is the conservative sync window and the router's
 	// transit latency (the minimum delay of any cross-host event).
@@ -189,8 +188,8 @@ type Config struct {
 	// control-plane choice (zone pick, placement, routing, autoscale,
 	// migration, cordon) is recorded with its full candidate set and
 	// inputs, per shard, and merged at barriers under the engine's own
-	// canonical order — so the log is byte-identical at any worker
-	// pool size (see internal/decision). Runs without it pay nothing;
+	// canonical order — so the log is independent of the order the
+	// shards ran in (see internal/decision). Runs without it pay nothing;
 	// Options.Kinds selects what is recorded (include boost/preempt to
 	// also audit the per-vCPU scheduler stream on every host).
 	Decisions *decision.Options
@@ -549,14 +548,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	sh := sim.NewSharded(cfg.Hosts+1, cfg.Lookahead)
-	workers := cfg.Shards
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > cfg.Hosts+1 {
-			workers = cfg.Hosts + 1
-		}
-	}
-	sh.SetWorkers(workers)
 
 	c := &Cluster{
 		cfg:         cfg,
@@ -745,7 +736,7 @@ func New(cfg Config) (*Cluster, error) {
 // occupancy intervals and invariant trips into the watchdog; finished
 // spans into the minting tracer. Host order then host-local completion
 // order is the canonical merge key, so the result is independent of
-// the worker pool.
+// the order the shards ran in.
 func (c *Cluster) drain(now sim.Time) {
 	for _, h := range c.hosts {
 		ob := &h.outbox
@@ -904,7 +895,7 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 		}
 		// Each instance gets private stats (ignored); the cluster-level
 		// reservoir is fed from the served records at barrier drains so
-		// its insertion order cannot depend on the worker pool.
+		// its insertion order cannot depend on shard execution order.
 		inst, gate := workload.NewRemoteServer(kern, spec, gc.Seed^0x5e12e, nil)
 		gate.OnServed = func(lat sim.Time) {
 			host.outbox.served = append(host.outbox.served, servedRec{at: kern.Now(), lat: lat, hd: hd})

@@ -216,6 +216,8 @@ func TestConfigValidation(t *testing.T) {
 		{"no vms", func(c *Config) { c.VMs = nil }},
 		{"kindless vm", func(c *Config) { c.VMs = []VMSpec{{Name: "x", VCPUs: 1}} }},
 		{"zero-vcpu vm", func(c *Config) { c.VMs = []VMSpec{{Name: "x", Kind: KindServer}} }},
+		{"negative shards", func(c *Config) { c.Shards = -1 }},
+		{"negative lookahead", func(c *Config) { c.Lookahead = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

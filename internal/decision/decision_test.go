@@ -87,7 +87,7 @@ func TestMergeCanonicalOrder(t *testing.T) {
 	}
 	// Records already merged keep their place; later records sort into
 	// their own batch. The barrier schedule fixes which records share a
-	// batch independently of the worker pool, so this order is still
+	// batch independently of shard execution order, so this order is still
 	// deterministic — it just differs from the single-batch one.
 	if got := names(b); got != "s1b,s1a,s2a,s2b,s0a" {
 		t.Fatalf("split merge order = %s", got)

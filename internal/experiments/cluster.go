@@ -90,11 +90,11 @@ func clusterTable(h *harness) Table {
 		Columns: []string{"variant", "served", "p50", "p99", "p99.9", "slo-viol",
 			"migr", "blackouts", "injected", "violations"},
 	}
-	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
+	seed, la := h.opt.Seed, h.opt.Lookahead
 	for _, v := range ClusterVariants() {
 		v := v
 		out := jobAs(h, "cluster|"+v.Name, func() clusterRowOut {
-			return clusterCell(v, seed, shards, la)
+			return clusterCell(v, seed, la)
 		})
 		if out.errStr != "" {
 			h.opt.Logf("cluster: %s: %s", v.Name, out.errStr)
@@ -109,9 +109,8 @@ func clusterTable(h *harness) Table {
 
 // clusterCell executes one variant and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
-func clusterCell(v ClusterVariant, seed uint64, shards int, lookahead sim.Time) clusterRowOut {
+func clusterCell(v ClusterVariant, seed uint64, lookahead sim.Time) clusterRowOut {
 	cfg := ClusterConfig(v, seed)
-	cfg.Shards = shards
 	if lookahead > 0 {
 		cfg.Lookahead = lookahead
 	}

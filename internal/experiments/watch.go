@@ -136,11 +136,11 @@ func watchTable(h *harness) Table {
 		Columns: []string{"variant", "served", "slo-viol", "alerts", "detect",
 			"victim", "top aggressor", "score", "runner-up", "ratio", "incidents"},
 	}
-	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
+	seed, la := h.opt.Seed, h.opt.Lookahead
 	for _, v := range WatchVariants() {
 		v := v
 		out := jobAs(h, "watch|"+v.Name, func() watchRowOut {
-			return watchCell(v, seed, shards, la)
+			return watchCell(v, seed, la)
 		})
 		if out.errStr != "" {
 			h.opt.Logf("watch: %s: %s", v.Name, out.errStr)
@@ -155,9 +155,8 @@ func watchTable(h *harness) Table {
 
 // watchCell executes one variant and renders its row. Pure function of
 // its arguments; safe on worker goroutines.
-func watchCell(v WatchVariant, seed uint64, shards int, lookahead sim.Time) watchRowOut {
+func watchCell(v WatchVariant, seed uint64, lookahead sim.Time) watchRowOut {
 	cfg := WatchConfig(v, seed, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval)
-	cfg.Shards = shards
 	if lookahead > 0 {
 		cfg.Lookahead = lookahead
 	}

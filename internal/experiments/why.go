@@ -16,13 +16,13 @@ import (
 // attached and renders the incident's decision trail — cordon, the
 // first failover route, each autoscaler action — with the inputs and
 // winning margins each choice had at the instant it was made, plus a
-// summary row counting every recorded decision. The trail is exact
-// and byte-identical at any shard count; cmd/irswhy gates CI on it.
+// summary row counting every recorded decision. The trail is exact;
+// cmd/irswhy gates CI on it.
 
 // RunWhy executes a cluster load spec with the decision log attached
 // (recording the given kinds) and returns the finished cluster.
 // Shared by the why table and cmd/irswhy.
-func RunWhy(specText string, kinds []decision.Kind, seed uint64, shards int, lookahead sim.Time) (*cluster.Cluster, error) {
+func RunWhy(specText string, kinds []decision.Kind, seed uint64, lookahead sim.Time) (*cluster.Cluster, error) {
 	spec, err := topology.ParseLoadSpec(specText)
 	if err != nil {
 		return nil, err
@@ -31,7 +31,6 @@ func RunWhy(specText string, kinds []decision.Kind, seed uint64, shards int, loo
 	if err != nil {
 		return nil, err
 	}
-	cfg.Shards = shards
 	if lookahead > 0 {
 		cfg.Lookahead = lookahead
 	}
@@ -61,9 +60,9 @@ func whyTable(h *harness) Table {
 		Title:   "Decision provenance: the 2z8h outage rig's audit trail (cordon -> failover -> autoscale), from the cluster-wide decision log",
 		Columns: []string{"step", "t", "kind", "chooser", "subject", "winner", "margin", "why"},
 	}
-	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
+	seed, la := h.opt.Seed, h.opt.Lookahead
 	out := jobAs(h, "why|2z8h-outage", func() whyOut {
-		return whyCell(seed, shards, la)
+		return whyCell(seed, la)
 	})
 	if out.errStr != "" {
 		h.opt.Logf("why: %s", out.errStr)
@@ -75,8 +74,8 @@ func whyTable(h *harness) Table {
 
 // whyCell runs the rig and renders the trail rows plus the Σ summary.
 // Pure function of its arguments; safe on worker goroutines.
-func whyCell(seed uint64, shards int, lookahead sim.Time) whyOut {
-	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), seed, shards, lookahead)
+func whyCell(seed uint64, lookahead sim.Time) whyOut {
+	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), seed, lookahead)
 	if err != nil {
 		return whyOut{errStr: err.Error()}
 	}

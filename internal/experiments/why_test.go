@@ -12,7 +12,7 @@ import (
 // two drains after recovery. Anything more (a spurious scale event, a
 // failover before the cordon) or less (a missed record) fails here.
 func TestWhyTrailExactSequence(t *testing.T) {
-	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), 1, 1, 0)
+	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), 1, 0)
 	if err != nil {
 		t.Fatalf("RunWhy: %v", err)
 	}
@@ -41,23 +41,6 @@ func TestWhyTrailExactSequence(t *testing.T) {
 			if act != "down" {
 				t.Fatalf("drain step has act=%q", act)
 			}
-		}
-	}
-}
-
-// TestShardedMatchesSerialWhy extends the shard-invariance matrix to
-// the decision log: the rendered why table — trail timestamps, margins,
-// and the Σ counts of every recorded decision — must be byte-identical
-// whether the rig runs serially or across per-host engine shards.
-func TestShardedMatchesSerialWhy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("outage rig at three shard widths")
-	}
-	serial := shardedTable(t, "why", 1, 1)
-	for _, shards := range []int{2, 4} {
-		if got := shardedTable(t, "why", 1, shards); got != serial {
-			t.Errorf("why table at %d shards differs from serial.\n--- serial ---\n%s--- %d shards ---\n%s",
-				shards, serial, shards, got)
 		}
 	}
 }

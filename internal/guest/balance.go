@@ -106,7 +106,7 @@ func (k *Kernel) moveTask(t *Task, dst *CPU) {
 		if src != nil {
 			from = src.id
 		}
-		k.cfg.Trace.Recordf(k.eng.Now(), trace.KindMigrate, t.Name, "cpu%d -> cpu%d", from, dst.id)
+		k.cfg.Trace.Recordf(k.eng.Now(), trace.KindMigrate, t.Name, "cpu%d -> cpu%d", trace.Int(from), trace.Int(dst.id))
 	}
 	dst.rq.Enqueue(t)
 	k.spanSync(t)

@@ -330,10 +330,11 @@ func (k *Kernel) BlockTask(t *Task) {
 	c.schedule()
 }
 
-// traceTask records a task event when tracing is enabled.
-func (k *Kernel) traceTask(t *Task, format string, args ...any) {
+// traceTask records a task event on a guest CPU when tracing is
+// enabled.
+func (k *Kernel) traceTask(t *Task, format string, cpu int) {
 	if k.cfg.Trace != nil {
-		k.cfg.Trace.Recordf(k.eng.Now(), trace.KindTask, t.Name, format, args...)
+		k.cfg.Trace.Recordf(k.eng.Now(), trace.KindTask, t.Name, format, trace.Int(cpu))
 	}
 }
 

@@ -42,7 +42,7 @@ func (h *Hypervisor) PauseVCPU(v *VCPU, dur sim.Time) {
 		v.parkedUntil = until
 	}
 	if tl := h.cfg.Trace; tl != nil {
-		tl.Recordf(now, trace.KindVCPUState, v.Name(), "blackout for %s", dur)
+		tl.Recordf(now, trace.KindVCPUState, v.Name(), "blackout for %s", trace.Dur(dur))
 	}
 	if v.saPending {
 		h.saFail(v)

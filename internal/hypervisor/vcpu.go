@@ -264,7 +264,7 @@ func (v *VCPU) setState(s RunState) {
 		v.windowBlocked += now - v.stateSince
 	}
 	if tl := v.hv.cfg.Trace; tl != nil && s != v.state {
-		tl.Recordf(now, trace.KindVCPUState, v.Name(), "%s -> %s", v.state, s)
+		tl.Recordf(now, trace.KindVCPUState, v.Name(), "%s -> %s", trace.Str(v.state.String()), trace.Str(s.String()))
 	}
 	changed := s != v.state
 	v.state = s

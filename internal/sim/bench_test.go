@@ -74,14 +74,12 @@ func BenchmarkEngineChurn(b *testing.B) {
 }
 
 // BenchmarkShardedSparse measures the coordinator's per-window
-// overhead when most shards are idle: 16 shards, events on only one,
-// multi-worker pool. Before the idle-shard skip every window paid 16
-// worker wake/park round-trips; with it, 15 of those collapse to an
-// inline clock advance (ROADMAP item 1's noted remaining upside).
+// overhead when most shards are idle: 16 shards, events on only one.
+// The idle-shard skip turns 15 of the 16 per-window shard runs into an
+// inline clock advance.
 func BenchmarkShardedSparse(b *testing.B) {
 	const lookahead = Time(250_000)
 	sh := NewSharded(16, lookahead)
-	sh.SetWorkers(4)
 	busy := sh.Shard(1)
 	busy.Every(lookahead/4, "work", func() {})
 	b.ReportAllocs()

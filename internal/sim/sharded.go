@@ -1,35 +1,35 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 )
 
-// ShardedEngine is a conservative parallel discrete-event coordinator:
-// N independent Engines (shards) advance in lockstep through time
-// windows bounded by a fixed lookahead — the known minimum latency of
-// any cross-shard interaction. Within a window every shard's events are
-// data-isolated, so shards may execute on a bounded goroutine pool; at
-// the window boundary (a barrier) all shards are parked at the same
-// virtual time and cross-shard traffic is exchanged.
+// ShardedEngine is a conservative window coordinator: N independent
+// Engines (shards) advance in lockstep through time windows bounded by
+// a fixed lookahead — the known minimum latency of any cross-shard
+// interaction. Within a window every shard's events are data-isolated,
+// and the coordinator runs the shards that have work one after another
+// on the calling goroutine; at the window boundary (a barrier) all
+// shards are parked at the same virtual time and cross-shard traffic
+// is exchanged.
 //
 // Determinism is by construction, not by luck:
 //
 //   - Cross-shard events are posted with delay >= lookahead (Post), so
 //     a message sent inside a window (T, T+W], W <= lookahead, is
 //     delivered strictly after the window ends. Shards therefore never
-//     observe each other mid-window, and the worker count cannot change
-//     what any shard computes. Posting with a shorter delay is a
-//     lookahead violation: it panics, or reports through OnViolation
-//     and is clamped to the lookahead.
+//     observe each other mid-window, and the order in which the
+//     coordinator runs them cannot change what any shard computes.
+//     Posting with a shorter delay is a lookahead violation: it
+//     panics, or reports through OnViolation and is clamped to the
+//     lookahead.
 //   - Mailboxes are merged at each barrier under the canonical key
 //     (delivery time, source shard, post order) — the same trick the
-//     experiment harness uses to merge parallel jobs — and inserted
-//     into the destination engines single-threaded, so the destination
-//     sequence numbers (and hence same-instant tie-breaks) are
-//     identical for any worker count.
+//     experiment harness uses to merge parallel jobs — so the
+//     destination sequence numbers (and hence same-instant tie-breaks)
+//     do not depend on shard execution order.
 //   - Global synchronous work (control planes that legitimately read or
 //     mutate many shards at one instant) runs as barrier tasks
 //     (AtBarrier/EveryBarrier): windows truncate so a barrier lands
@@ -42,12 +42,16 @@ type ShardedEngine struct {
 	engines   []*Engine
 	lookahead Time
 	now       Time
-	workers   int
 
-	inWindow bool      // set while shard goroutines may be running
+	inWindow bool      // set while shard windows are executing
 	outboxes [][]mail  // per-source-shard cross-shard posts this window
 	scratch  []mail    // merge buffer reused across barriers
 	active   []*Engine // shards with events due this window, reused
+
+	// order, when set, reorders each window's active shards before they
+	// run. Only tests set it: shard isolation means any order must
+	// produce the same simulation.
+	order func(active []*Engine)
 
 	tasks   []*barrierTask
 	taskSeq uint64
@@ -93,7 +97,6 @@ func NewSharded(shards int, lookahead Time) *ShardedEngine {
 		engines:   make([]*Engine, shards),
 		outboxes:  make([][]mail, shards),
 		lookahead: lookahead,
-		workers:   1,
 	}
 	for i := range s.engines {
 		s.engines[i] = NewEngine()
@@ -133,20 +136,6 @@ func (s *ShardedEngine) Pending() int {
 	}
 	return n
 }
-
-// SetWorkers bounds the goroutine pool that executes shard windows.
-// One worker (the default) runs shards sequentially on the caller's
-// goroutine — the serial mode. The output is identical either way; the
-// worker count is invisible to the simulation by construction.
-func (s *ShardedEngine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
-
-// Workers returns the configured pool bound.
-func (s *ShardedEngine) Workers() int { return s.workers }
 
 // Post schedules fn on shard to at delay from shard from's current
 // time. Called from inside from's window execution it buffers the
@@ -250,16 +239,14 @@ func (s *ShardedEngine) Run(horizon Time) error {
 		if end > horizon {
 			end = horizon
 		}
-		if bt, _ := s.nextTask(); bt != nil && bt.at < end {
-			end = bt.at
+		bt, _ := s.nextTask()
+		if bt == nil && s.Pending() == 0 {
+			return fmt.Errorf("%w at %v (horizon %v)", ErrDeadlock, s.now, horizon)
 		}
-		if s.Pending() == 0 {
-			if bt, _ := s.nextTask(); bt == nil {
-				return fmt.Errorf("%w at %v (horizon %v)", ErrDeadlock, s.now, horizon)
-			}
-			// Only barrier tasks remain; like an engine whose next event
-			// is beyond the horizon, the idle windows just advance the
-			// clock.
+		// With only barrier tasks left the idle windows just advance the
+		// clock, like an engine whose next event is beyond the horizon.
+		if bt != nil && bt.at < end {
+			end = bt.at
 		}
 		s.runWindow(end)
 		s.now = end
@@ -269,19 +256,13 @@ func (s *ShardedEngine) Run(horizon Time) error {
 }
 
 // runWindow executes every shard from its current time to end. Shards
-// with no event due in the window are skipped inline — their clock
-// just advances — so idle hosts cost no worker wakeup. With one worker
-// the active shards run sequentially in index order on the calling
-// goroutine; otherwise a bounded pool claims them off a shared
-// counter. Either way each shard's window is single-threaded and
-// isolated, so the schedule is identical.
+// with no event due in the window just have their clock advanced; the
+// rest run one after another in index order. Each shard's window is
+// isolated, so the order cannot change the schedule.
 func (s *ShardedEngine) runWindow(end Time) {
 	if end <= s.now {
 		return
 	}
-	// Partition: an engine whose next event lies beyond the window
-	// would only execute `now = end` — doing that here skips the
-	// wake/park round-trip that dominates when most shards are idle.
 	active := s.active[:0]
 	for _, e := range s.engines {
 		if at, ok := e.NextAt(); ok && at <= end {
@@ -291,45 +272,18 @@ func (s *ShardedEngine) runWindow(end Time) {
 		}
 	}
 	s.active = active
-	if len(active) == 0 {
-		return
+	if s.order != nil {
+		s.order(active)
 	}
 	s.inWindow = true
-	n := s.workers
-	if n > len(active) {
-		n = len(active)
-	}
-	if n <= 1 {
-		for _, e := range active {
-			e.RunWindow(end)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for w := 0; w < n; w++ {
-			go func() {
-				defer wg.Done()
-				// Read the active set through s (stable until the
-				// barrier): capturing the reassigned local would heap-
-				// allocate a cell for it every window.
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(s.active) {
-						return
-					}
-					s.active[i].RunWindow(end)
-				}
-			}()
-		}
-		wg.Wait()
+	for _, e := range active {
+		e.RunWindow(end)
 	}
 	s.inWindow = false
 }
 
 // barrier exchanges cross-shard mail, runs the drain hooks, then runs
-// every barrier task due at the current time. All of it is
-// single-threaded: the shards are parked.
+// every barrier task due at the current time, with every shard parked.
 func (s *ShardedEngine) barrier() {
 	s.deliver()
 	for _, fn := range s.onBarrier {
@@ -357,8 +311,8 @@ func (s *ShardedEngine) barrier() {
 // deliver merges every outbox and inserts the mail into the
 // destination engines. Concatenating outboxes in shard order and
 // stable-sorting by delivery time yields the canonical total order
-// (time, source shard, post order) — independent of which worker ran
-// which shard. Delivery times are strictly beyond the window just
+// (time, source shard, post order) — independent of the order the
+// shards ran in. Delivery times are strictly beyond the window just
 // executed (the lookahead guarantees it), so insertion never schedules
 // in a destination's past.
 func (s *ShardedEngine) deliver() {
@@ -371,7 +325,7 @@ func (s *ShardedEngine) deliver() {
 		s.scratch = all
 		return
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
+	slices.SortStableFunc(all, func(a, b mail) int { return cmp.Compare(a.at, b.at) })
 	for i := range all {
 		m := &all[i]
 		s.engines[m.to].At(m.at, m.name, m.fn)

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,11 +12,12 @@ import (
 // runs a local periodic event and posts cross-shard messages that
 // re-post on arrival, exercising mailbox delivery, ordering, and the
 // window/barrier machinery. Each shard appends to its own log
-// (single-writer mid-window); logs are concatenated at the end.
-func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (string, uint64) {
+// (single-writer mid-window); logs are concatenated at the end. order,
+// when non-nil, reorders each window's active shards.
+func shardedRig(t *testing.T, shards int, order func([]*Engine), lookahead, horizon Time) (string, uint64) {
 	t.Helper()
 	s := NewSharded(shards, lookahead)
-	s.SetWorkers(workers)
+	s.order = order
 	logs := make([][]string, shards)
 	var hop func(from, to, ttl int)
 	hop = func(from, to, ttl int) {
@@ -54,6 +56,64 @@ func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (str
 			t.Fatalf("shard %d stopped at %v, want %v", i, got, horizon)
 		}
 	}
+	return joinLogs(logs), s.Fired()
+}
+
+// randomRig builds a seeded random workload: a random shard count and
+// lookahead, shard-local timers at random periods, and cross-shard
+// chains posted to random shards with random delays >= lookahead.
+// Every handler draws from its own shard's RNG and appends to its own
+// shard's log, so the workload is shard-isolated by construction.
+// Times sit on a coarse grid so same-instant deliveries from different
+// sources — the merge key's tie-breaks — are common.
+func randomRig(t *testing.T, seed uint64, order func([]*Engine)) (string, uint64) {
+	t.Helper()
+	const grid = 10 * Microsecond
+	rng := NewRNG(seed)
+	shards := 2 + rng.Intn(7)
+	lookahead := grid * Time(1+rng.Intn(5))
+	s := NewSharded(shards, lookahead)
+	s.order = order
+	logs := make([][]string, shards)
+	rngs := make([]*RNG, shards)
+	sent := make([]int, shards)
+	for i := range rngs {
+		rngs[i] = rng.Fork(uint64(i))
+	}
+	var send func(from, ttl int)
+	send = func(from, ttl int) {
+		r := rngs[from]
+		to := r.Intn(shards)
+		id := fmt.Sprintf("%d.%d", from, sent[from])
+		sent[from]++
+		s.Post(from, to, lookahead+grid*Time(r.Intn(4)), "msg", func() {
+			logs[to] = append(logs[to], fmt.Sprintf("%d got %s at %v", to, id, s.Shard(to).Now()))
+			if ttl > 0 {
+				send(to, ttl-1)
+			}
+		})
+	}
+	for i := 0; i < shards; i++ {
+		i := i
+		s.Shard(i).Every(grid*Time(1+rngs[i].Intn(8)), "tick", func() {
+			logs[i] = append(logs[i], fmt.Sprintf("%d tick at %v", i, s.Shard(i).Now()))
+			if rngs[i].Intn(3) == 0 {
+				send(i, rngs[i].Intn(4))
+			}
+		})
+	}
+	s.EveryBarrier(grid*Time(1+rng.Intn(12)), "epoch", func() {
+		for j := range logs {
+			logs[j] = append(logs[j], fmt.Sprintf("%d epoch at %v fired %d", j, s.Now(), s.Shard(j).Fired()))
+		}
+	})
+	if err := s.Run(200 * lookahead); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return joinLogs(logs), s.Fired()
+}
+
+func joinLogs(logs [][]string) string {
 	var b strings.Builder
 	for _, l := range logs {
 		for _, line := range l {
@@ -61,26 +121,55 @@ func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (str
 			b.WriteByte('\n')
 		}
 	}
-	return b.String(), s.Fired()
+	return b.String()
 }
 
-// TestShardedDeterministicAcrossWorkers is the core guarantee: the
-// worker count is invisible to the simulation. Every shard's event log
-// and the total fired count must be byte-identical for any pool size.
-func TestShardedDeterministicAcrossWorkers(t *testing.T) {
-	const shards = 5
-	base, baseFired := shardedRig(t, shards, 1, 50*Microsecond, 3*Millisecond)
-	if !strings.Contains(base, "recv") || !strings.Contains(base, "tick") {
-		t.Fatalf("rig produced no traffic:\n%s", base)
+// TestShardedExecutionOrderInvisible is the core guarantee: shards are
+// isolated within a window, so the order the coordinator runs them in
+// is invisible to the simulation. Every shard's event log and the
+// total fired count must be byte-identical whether each window's
+// active shards run in index order, reversed, or shuffled.
+func TestShardedExecutionOrderInvisible(t *testing.T) {
+	check := func(t *testing.T, rig func(order func([]*Engine)) (string, uint64)) {
+		t.Helper()
+		base, baseFired := rig(nil)
+		rng := NewRNG(0x5eed)
+		orders := map[string]func([]*Engine){
+			"reversed": slices.Reverse[[]*Engine],
+			"shuffled": func(a []*Engine) {
+				for i := len(a) - 1; i > 0; i-- {
+					j := rng.Intn(i + 1)
+					a[i], a[j] = a[j], a[i]
+				}
+			},
+		}
+		for name, reorder := range orders {
+			// Count windows where the order had a choice to make, so
+			// the comparison cannot pass vacuously.
+			multi := 0
+			got, fired := rig(func(a []*Engine) {
+				if len(a) > 1 {
+					multi++
+				}
+				reorder(a)
+			})
+			if multi == 0 {
+				t.Fatalf("%s: no window had two active shards", name)
+			}
+			if got != base || fired != baseFired {
+				t.Fatalf("%s order diverged from index order (fired %d vs %d)", name, fired, baseFired)
+			}
+		}
 	}
-	for _, workers := range []int{2, 4, 8} {
-		got, fired := shardedRig(t, shards, workers, 50*Microsecond, 3*Millisecond)
-		if got != base {
-			t.Fatalf("workers=%d diverged from serial log", workers)
-		}
-		if fired != baseFired {
-			t.Fatalf("workers=%d fired %d events, serial fired %d", workers, fired, baseFired)
-		}
+	t.Run("ping-pong", func(t *testing.T) {
+		check(t, func(order func([]*Engine)) (string, uint64) {
+			return shardedRig(t, 5, order, 50*Microsecond, 3*Millisecond)
+		})
+	})
+	for seed := uint64(1); seed <= 16; seed++ {
+		t.Run(fmt.Sprintf("random-%d", seed), func(t *testing.T) {
+			check(t, func(order func([]*Engine)) (string, uint64) { return randomRig(t, seed, order) })
+		})
 	}
 }
 

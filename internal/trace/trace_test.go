@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 func TestRecordAndEvents(t *testing.T) {
 	l := NewLog(0)
 	l.Record(10, KindSA, "fg/v0", "sent")
-	l.Recordf(20, KindMigrate, "task-1", "cpu%d -> cpu%d", 0, 1)
+	l.Recordf(20, KindMigrate, "task-1", "cpu%d -> cpu%d", Int(0), Int(1))
 	if l.Len() != 2 {
 		t.Fatalf("len = %d", l.Len())
 	}
@@ -200,5 +201,55 @@ func TestEventString(t *testing.T) {
 	s := e.String()
 	if !strings.Contains(s, "5.000ms") || !strings.Contains(s, "sa") || !strings.Contains(s, "fg/v0") {
 		t.Fatalf("event string = %q", s)
+	}
+}
+
+// TestRecordfMatchesSprintf pins the deferred formatting: a detail
+// rendered from typed operands must equal fmt.Sprintf over the original
+// values, including after the ring has wrapped several times.
+func TestRecordfMatchesSprintf(t *testing.T) {
+	l := NewLog(5)
+	var want []string
+	for i := 0; i < 23; i++ {
+		d := sim.Time(i*i) * 997 * sim.Nanosecond
+		switch i % 3 {
+		case 0:
+			l.Recordf(sim.Time(i), KindSA, "v", "acked after %s (%s)", Dur(d), Str("blocked"))
+			want = append(want, fmt.Sprintf("acked after %s (%s)", d, "blocked"))
+		case 1:
+			l.Recordf(sim.Time(i), KindMigrate, "t", "cpu%d -> cpu%d", Int(i-2), Int(i))
+			want = append(want, fmt.Sprintf("cpu%d -> cpu%d", i-2, i))
+		default:
+			l.Record(sim.Time(i), KindNote, "n", "100% literal")
+			want = append(want, "100% literal")
+		}
+	}
+	want = want[len(want)-5:]
+	evs := l.Events()
+	if len(evs) != len(want) || l.Dropped() != 18 {
+		t.Fatalf("retained %d events, dropped %d; want %d and 18", len(evs), l.Dropped(), len(want))
+	}
+	for i, e := range evs {
+		if e.At != sim.Time(18+i) || e.Detail != want[i] {
+			t.Fatalf("event %d = (%v, %q), want (%v, %q)", i, e.At, e.Detail, sim.Time(18+i), want[i])
+		}
+	}
+	if got := l.Filter(KindMigrate, "t"); len(got) != 2 || got[0].Detail != "cpu17 -> cpu19" {
+		t.Fatalf("filter over wrapped ring = %+v", got)
+	}
+}
+
+// TestRecordfAllocationFree pins the hot-path contract: once the ring
+// is full, recording a formatted event allocates nothing.
+func TestRecordfAllocationFree(t *testing.T) {
+	l := NewLog(64)
+	for i := 0; i < 64; i++ {
+		l.Recordf(0, KindSwitch, "p0", "run %s (%s)", Str("vm/v0"), Str("UNDER"))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		l.Recordf(1, KindSA, "vm/v0", "acked after %s (%s)", Dur(20*sim.Microsecond), Str("blocked"))
+	})
+	if allocs != 0 {
+		t.Fatalf("Recordf allocates %.1f times per event, want 0", allocs)
 	}
 }
