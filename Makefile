@@ -98,9 +98,10 @@ scale-sweep:
 # Decision-provenance smoke run: replay the outage rig with the audit
 # log attached and gate on the exact decision trail (cordon, the first
 # failover route, +2 replicas, then the two drains). The full log lands
-# next to the repo root as decisions.json.
+# next to the repo root as decisions.json, and as a Perfetto trace in
+# decisions.trace.json.
 why:
-	$(GO) run ./cmd/irswhy -expect cordon,failover,scale-up,scale-up,drain,drain -json decisions.json
+	$(GO) run ./cmd/irswhy -expect cordon,failover,scale-up,scale-up,drain,drain -json decisions.json -perfetto decisions.trace.json
 
 # Compile and run every example end to end (each also has a unit test
 # exercising its run() body, picked up by `make test`).

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -42,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "log each measurement")
 	parallel := fs.Bool("parallel", true, "fan each figure's simulation matrix across worker goroutines")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	lookahead := fs.Duration("lookahead", 0, "conservative window width for cluster runs (0 = default 250µs; changing it changes results)")
 	experiment := fs.String("experiment", "", "experiment id to run (alias for the positional form)")
 	attack := fs.String("attack", "", "attacker spec (e.g. tick-evade,margin=500us); runs it against every accounting defense")
 	expectOvershoot := fs.Float64("expect-overshoot", 0,
@@ -98,10 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	opt := experiments.Options{
-		Runs: *runs, Seed: *seed, Workers: *workers,
-		Lookahead: sim.Duration(*lookahead),
-	}
+	opt := experiments.Options{Runs: *runs, Seed: *seed, Workers: *workers}
 	if !*parallel {
 		opt.Workers = 1
 	}

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	irsload [-variant 2z8h-outage] [-spec 'topo:zones=2,...'] [-file spec.load]
-//	        [-seed 1] [-lookahead 250us] [-expect 1.0] [-v]
+//	        [-seed 1] [-expect 1.0] [-v]
 //
 // Exactly one of -variant, -spec, -file selects the load spec;
 // -variant names a built-in rig (irsload -list shows them).
@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -39,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	file := fs.String("file", "", "read the load spec from a file")
 	list := fs.Bool("list", false, "list built-in variants and exit")
 	seed := fs.Uint64("seed", 1, "random seed")
-	lookahead := fs.Duration("lookahead", 0, "conservative window override (0 = default)")
 	expect := fs.Float64("expect", -1, "fail unless the post-recovery SLO-violation rate is below this percentage")
 	verbose := fs.Bool("v", false, "echo the parsed spec before running")
 	if err := fs.Parse(args); err != nil {
@@ -70,9 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "irsload: %v\n", err)
 		return 2
-	}
-	if *lookahead > 0 {
-		cfg.Lookahead = sim.Duration(*lookahead)
 	}
 	c, err := cluster.New(cfg)
 	if err != nil {

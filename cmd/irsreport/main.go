@@ -205,7 +205,7 @@ func report(stdout, stderr io.Writer, bench workload.Benchmark, benchName string
 	}{
 		{promPath, "prometheus", func(w io.Writer) error { return obs.WritePrometheus(w, reg) }},
 		{csvPath, "csv", func(w io.Writer) error { return obs.WriteCSV(w, cluster.Sampler) }},
-		{traceJSON, "chrome-trace", func(w io.Writer) error { return obs.WriteChromeTrace(w, log, at, at+window) }},
+		{traceJSON, "chrome-trace", func(w io.Writer) error { return log.WriteChromeTrace(w, at, at+window) }},
 	} {
 		if exp.path == "" {
 			continue

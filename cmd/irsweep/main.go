@@ -11,7 +11,7 @@
 //	irsweep -bench streamcluster -inter 0,1,2,4 [-mode spin|block] [-vcpus 4]
 //	        [-unpinned] [-seed S] [-runs N] [-parallel] [-workers N]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-lookahead 250us] [-seed S] [-parallel] [-workers N]
+//	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-seed S] [-parallel] [-workers N]
 //	irsweep -attack "tick-evade;boost-game,run=2ms" [-seed S] [-parallel] [-workers N]
 //	irsweep -list
 package main
@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	clusterSweep := fs.Bool("cluster", false, "sweep the multi-host placement variants across rack sizes")
 	hostsList := fs.String("hosts", "2,3,4", "comma-separated host counts for -cluster (per zone when -zones > 1)")
 	zones := fs.Int("zones", 1, "zone count for -cluster: >1 runs each rack size under the two-level zone scheduler")
-	lookahead := fs.Duration("lookahead", 0, "conservative window width for -cluster cells (0 = default 250µs; changing it changes results)")
 	attackList := fs.String("attack", "", "semicolon-separated attacker specs to sweep against every accounting defense")
 	parallel := fs.Bool("parallel", true, "fan sweep cells across worker goroutines")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
@@ -117,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "irsweep: bad -zones %d\n", *zones)
 			return 2
 		}
-		return clusterMatrix(stdout, stderr, hosts, *zones, *seed, nWorkers, sim.Duration(*lookahead))
+		return clusterMatrix(stdout, stderr, hosts, *zones, *seed, nWorkers)
 	}
 
 	if *attackList != "" {
@@ -221,7 +220,7 @@ func parseIntList(s string) ([]int, bool) {
 // rate) per variant. With zones > 1 each rack size is per zone and
 // every cell runs under the two-level zone scheduler and partitioned
 // router.
-func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, nWorkers int, lookahead sim.Time) int {
+func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, nWorkers int) int {
 	variants := experiments.ClusterVariants()
 	type cell struct {
 		p99  sim.Time
@@ -239,9 +238,6 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 				cfg.Hosts = zones * n
 				if zones > 1 {
 					cfg.Topology = topology.Uniform(zones, n)
-				}
-				if lookahead > 0 {
-					cfg.Lookahead = lookahead
 				}
 				c, err := cluster.New(cfg)
 				if err != nil {

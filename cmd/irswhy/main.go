@@ -10,7 +10,7 @@
 // Usage:
 //
 //	irswhy [-variant 2z8h-outage] [-spec 'topo:zones=2,...'] [-kinds ctl]
-//	       [-seed 1] [-lookahead 250us]
+//	       [-seed 1]
 //	       [-q 'kind=place vm=srv0 t>6s'] [-limit 20] [-top 5]
 //	       [-expect cordon,failover,scale-up,scale-up,drain,drain]
 //	       [-json decisions.json] [-perfetto decisions.trace]
@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/decision"
 	"repro/internal/experiments"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -38,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	specFlag := fs.String("spec", "", "inline load spec instead of -variant (topology.ParseLoadSpec syntax)")
 	list := fs.Bool("list", false, "list built-in variants and exit")
 	seed := fs.Uint64("seed", 1, "random seed")
-	lookahead := fs.Duration("lookahead", 0, "conservative window override (0 = default)")
 	kindsFlag := fs.String("kinds", "ctl", "decision kinds to record: ctl, all, or a comma list (e.g. place,route)")
 	query := fs.String("q", "", "print records matching this filter query (e.g. 'kind=place vm=srv0 t>6s')")
 	limit := fs.Int("limit", 20, "cap on printed query records (0 = all)")
@@ -77,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	c, err := experiments.RunWhy(text, kinds, *seed, sim.Duration(*lookahead))
+	c, err := experiments.RunWhy(text, kinds, *seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "irswhy: %v\n", err)
 		return 1

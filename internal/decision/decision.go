@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Kind classifies a scheduler decision.
@@ -227,10 +228,7 @@ type Ring struct {
 	chooser string
 	shard   int
 	seq     uint64
-	buf     []Record
-	start   int // index of the oldest record
-	n       int
-	dropped uint64
+	recs    trace.Ring[Record]
 }
 
 // Wants reports whether kind k is recorded. Hook sites call this
@@ -244,37 +242,22 @@ func (r *Ring) Wants(k Kind) bool {
 // sequence number. When the ring is full the oldest record is dropped
 // (and counted).
 func (r *Ring) Add(rec Record) {
-	if r == nil || len(r.buf) == 0 {
+	if r == nil {
 		return
 	}
 	rec.Shard = r.shard
 	rec.Chooser = r.chooser
 	rec.Seq = r.seq
 	r.seq++
-	if r.n == len(r.buf) {
-		r.start = (r.start + 1) % len(r.buf)
-		r.n--
-		r.dropped++
-	}
-	r.buf[(r.start+r.n)%len(r.buf)] = rec
-	r.n++
-}
-
-// drain appends the ring's records (oldest first) to dst and empties
-// the ring.
-func (r *Ring) drain(dst []Record) []Record {
-	for i := 0; i < r.n; i++ {
-		dst = append(dst, r.buf[(r.start+i)%len(r.buf)])
-	}
-	r.start, r.n = 0, 0
-	return dst
+	r.recs.Push(rec)
 }
 
 // Options sizes a decision log.
 type Options struct {
-	// PerShard is each shard ring's capacity (default 4096 — with
-	// barriers every lookahead, a shard would need thousands of
-	// decisions per 250µs window to drop anything).
+	// PerShard bounds each shard ring (default 4096 — with barriers
+	// every lookahead, a shard would need thousands of decisions per
+	// 250µs window to drop anything). A ring allocates on first use
+	// and grows on demand up to this bound.
 	PerShard int
 	// Total bounds the merged log (default 1<<20 records); the oldest
 	// are dropped, and counted, beyond it.
@@ -302,7 +285,7 @@ type Log struct {
 	rings   []*Ring
 	merged  []Record
 	total   int
-	dropped uint64
+	dropped uint64   // records past the Total bound
 	batch   []Record // merge scratch
 }
 
@@ -321,7 +304,7 @@ func NewLog(shards int, opt Options) *Log {
 			mask:    mask,
 			shard:   i,
 			chooser: fmt.Sprintf("shard%d", i),
-			buf:     make([]Record, opt.PerShard),
+			recs:    trace.NewRing[Record](opt.PerShard),
 		})
 	}
 	return l
@@ -354,9 +337,8 @@ func (l *Log) Merge() {
 	}
 	batch := l.batch[:0]
 	for _, r := range l.rings {
-		batch = r.drain(batch)
-		l.dropped += r.dropped
-		r.dropped = 0
+		batch = r.recs.AppendTo(batch)
+		r.recs.Reset()
 	}
 	sort.SliceStable(batch, func(i, j int) bool { return batch[i].At < batch[j].At })
 	l.merged = append(l.merged, batch...)
@@ -381,7 +363,11 @@ func (l *Log) Dropped() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.dropped
+	n := l.dropped
+	for _, r := range l.rings {
+		n += r.recs.Dropped()
+	}
+	return n
 }
 
 // Counts returns per-kind record totals, indexed by Kind.

@@ -110,6 +110,24 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 	}
 }
 
+// TestNewLogAllocatesRingsOnFirstUse pins lazy ring storage: a
+// rack-sized log holds no record slots until a shard records, and then
+// only that shard's ring grows.
+func TestNewLogAllocatesRingsOnFirstUse(t *testing.T) {
+	l := NewLog(17, Options{})
+	for i, r := range l.rings {
+		if c := r.recs.Cap(); c != 0 {
+			t.Fatalf("ring %d holds %d record slots before its first Add", i, c)
+		}
+	}
+	l.Ring(3).Add(rec(1, KindRoute, "a"))
+	for i, r := range l.rings {
+		if got, used := r.recs.Cap(), i == 3; (got > 0) != used || got > 4096 {
+			t.Fatalf("ring %d holds %d record slots after an Add to ring 3", i, got)
+		}
+	}
+}
+
 func TestLogTotalBound(t *testing.T) {
 	l := NewLog(1, Options{PerShard: 8, Total: 3})
 	r := l.Ring(0)

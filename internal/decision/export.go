@@ -6,15 +6,15 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Exports. The JSON bundle is the machine-readable artifact CI
 // uploads; the Chrome-trace export renders each decision as a Perfetto
-// instant event on a per-chooser track, with the same microsecond
-// timestamps and VM names span.WriteChromeSpans uses — load both files
-// into one Perfetto session and the decision that routed a request
-// lines up under the request's span.
+// instant event on a per-chooser track through trace.ChromeTrace, the
+// writer span.WriteChromeSpans also uses, so timestamps share one
+// timebase — load both files into one Perfetto session and the
+// decision that routed a request lines up under the request's span.
 
 // jsonCandidate mirrors Candidate with stable JSON keys.
 type jsonCandidate struct {
@@ -77,47 +77,22 @@ func WriteJSON(w io.Writer, recs []Record, dropped uint64) error {
 	return enc.Encode(bundle)
 }
 
-// Chrome Trace Event Format types, as in span/export.go.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Cat  string            `json:"cat,omitempty"`
-	S    string            `json:"s,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-func usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
-
 // WriteChromeTrace renders the records as Perfetto instant events: one
 // process ("decisions"), one thread track per chooser in first-
 // appearance order, each decision a thread-scoped instant at its
 // virtual time carrying kind/subject/winner/detail args.
 func WriteChromeTrace(w io.Writer, recs []Record) error {
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 	const pid = 1
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]string{"name": "decisions"},
-	})
-	tids := map[string]int{}
+	var out trace.ChromeTrace
+	out.Process(pid, "decisions")
+	tracks := map[string]trace.Track{}
 	for i := range recs {
 		r := &recs[i]
-		tid, ok := tids[r.Chooser]
+		t, ok := tracks[r.Chooser]
 		if !ok {
-			tid = len(tids) + 1
-			tids[r.Chooser] = tid
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]string{"name": r.Chooser},
-			})
+			t = trace.Track{Pid: pid, Tid: len(tracks) + 1}
+			tracks[r.Chooser] = t
+			out.Thread(t, r.Chooser)
 		}
 		args := map[string]string{
 			"subject": r.Subject,
@@ -128,11 +103,7 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 		if m, ok := r.Margin(); ok {
 			args["margin"] = fmt.Sprintf("%.3f", m)
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: fmt.Sprintf("%s %s", r.Kind, r.Subject),
-			Ph:   "i", Ts: usec(r.At), Pid: pid, Tid: tid,
-			Cat: r.Kind.String(), S: "t", Args: args,
-		})
+		out.Instant(t, r.At, fmt.Sprintf("%s %s", r.Kind, r.Subject), r.Kind.String(), args)
 	}
-	return json.NewEncoder(w).Encode(out)
+	return out.Write(w)
 }

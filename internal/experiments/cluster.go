@@ -90,11 +90,11 @@ func clusterTable(h *harness) Table {
 		Columns: []string{"variant", "served", "p50", "p99", "p99.9", "slo-viol",
 			"migr", "blackouts", "injected", "violations"},
 	}
-	seed, la := h.opt.Seed, h.opt.Lookahead
+	seed := h.opt.Seed
 	for _, v := range ClusterVariants() {
 		v := v
 		out := jobAs(h, "cluster|"+v.Name, func() clusterRowOut {
-			return clusterCell(v, seed, la)
+			return clusterCell(v, seed)
 		})
 		if out.errStr != "" {
 			h.opt.Logf("cluster: %s: %s", v.Name, out.errStr)
@@ -109,12 +109,8 @@ func clusterTable(h *harness) Table {
 
 // clusterCell executes one variant and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
-func clusterCell(v ClusterVariant, seed uint64, lookahead sim.Time) clusterRowOut {
-	cfg := ClusterConfig(v, seed)
-	if lookahead > 0 {
-		cfg.Lookahead = lookahead
-	}
-	c, err := cluster.New(cfg)
+func clusterCell(v ClusterVariant, seed uint64) clusterRowOut {
+	c, err := cluster.New(ClusterConfig(v, seed))
 	if err != nil {
 		return clusterRowOut{errStr: err.Error()}
 	}

@@ -31,11 +31,6 @@ type Options struct {
 	// from the goroutine that invoked the experiment, never from
 	// workers.
 	Logf func(format string, args ...any)
-	// Lookahead overrides the conservative window width (and router
-	// transit latency) of cluster-backed simulations. 0 keeps
-	// cluster.DefaultLookahead. Changing it changes event timing and
-	// therefore the numbers.
-	Lookahead sim.Time
 }
 
 func (o Options) withDefaults() Options {

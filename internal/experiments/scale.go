@@ -173,11 +173,11 @@ func scaleTable(h *harness) Table {
 		Columns: []string{"variant", "topo", "served", "p99", "slo-viol", "recov-slo",
 			"replicas", "scale", "failover", "alerts", "migr", "viol"},
 	}
-	seed, la := h.opt.Seed, h.opt.Lookahead
+	seed := h.opt.Seed
 	for _, v := range ScaleVariants() {
 		v := v
 		out := jobAs(h, "scale|"+v.Name, func() scaleRowOut {
-			return scaleCell(v, seed, la)
+			return scaleCell(v, seed)
 		})
 		if out.errStr != "" {
 			h.opt.Logf("scale: %s: %s", v.Name, out.errStr)
@@ -192,7 +192,7 @@ func scaleTable(h *harness) Table {
 
 // scaleCell executes one load spec and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
-func scaleCell(v ScaleVariant, seed uint64, lookahead sim.Time) scaleRowOut {
+func scaleCell(v ScaleVariant, seed uint64) scaleRowOut {
 	spec, err := topology.ParseLoadSpec(v.Spec)
 	if err != nil {
 		return scaleRowOut{errStr: err.Error()}
@@ -200,9 +200,6 @@ func scaleCell(v ScaleVariant, seed uint64, lookahead sim.Time) scaleRowOut {
 	cfg, err := ScaleConfig(spec, seed)
 	if err != nil {
 		return scaleRowOut{errStr: err.Error()}
-	}
-	if lookahead > 0 {
-		cfg.Lookahead = lookahead
 	}
 	c, err := cluster.New(cfg)
 	if err != nil {

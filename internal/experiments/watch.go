@@ -136,11 +136,11 @@ func watchTable(h *harness) Table {
 		Columns: []string{"variant", "served", "slo-viol", "alerts", "detect",
 			"victim", "top aggressor", "score", "runner-up", "ratio", "incidents"},
 	}
-	seed, la := h.opt.Seed, h.opt.Lookahead
+	seed := h.opt.Seed
 	for _, v := range WatchVariants() {
 		v := v
 		out := jobAs(h, "watch|"+v.Name, func() watchRowOut {
-			return watchCell(v, seed, la)
+			return watchCell(v, seed)
 		})
 		if out.errStr != "" {
 			h.opt.Logf("watch: %s: %s", v.Name, out.errStr)
@@ -155,12 +155,8 @@ func watchTable(h *harness) Table {
 
 // watchCell executes one variant and renders its row. Pure function of
 // its arguments; safe on worker goroutines.
-func watchCell(v WatchVariant, seed uint64, lookahead sim.Time) watchRowOut {
-	cfg := WatchConfig(v, seed, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval)
-	if lookahead > 0 {
-		cfg.Lookahead = lookahead
-	}
-	c, err := cluster.New(cfg)
+func watchCell(v WatchVariant, seed uint64) watchRowOut {
+	c, err := cluster.New(WatchConfig(v, seed, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval))
 	if err != nil {
 		return watchRowOut{errStr: err.Error()}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/decision"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -22,7 +21,7 @@ import (
 // RunWhy executes a cluster load spec with the decision log attached
 // (recording the given kinds) and returns the finished cluster.
 // Shared by the why table and cmd/irswhy.
-func RunWhy(specText string, kinds []decision.Kind, seed uint64, lookahead sim.Time) (*cluster.Cluster, error) {
+func RunWhy(specText string, kinds []decision.Kind, seed uint64) (*cluster.Cluster, error) {
 	spec, err := topology.ParseLoadSpec(specText)
 	if err != nil {
 		return nil, err
@@ -30,9 +29,6 @@ func RunWhy(specText string, kinds []decision.Kind, seed uint64, lookahead sim.T
 	cfg, err := ScaleConfig(spec, seed)
 	if err != nil {
 		return nil, err
-	}
-	if lookahead > 0 {
-		cfg.Lookahead = lookahead
 	}
 	cfg.Decisions = &decision.Options{Kinds: kinds}
 	c, err := cluster.New(cfg)
@@ -60,9 +56,9 @@ func whyTable(h *harness) Table {
 		Title:   "Decision provenance: the 2z8h outage rig's audit trail (cordon -> failover -> autoscale), from the cluster-wide decision log",
 		Columns: []string{"step", "t", "kind", "chooser", "subject", "winner", "margin", "why"},
 	}
-	seed, la := h.opt.Seed, h.opt.Lookahead
+	seed := h.opt.Seed
 	out := jobAs(h, "why|2z8h-outage", func() whyOut {
-		return whyCell(seed, la)
+		return whyCell(seed)
 	})
 	if out.errStr != "" {
 		h.opt.Logf("why: %s", out.errStr)
@@ -74,8 +70,8 @@ func whyTable(h *harness) Table {
 
 // whyCell runs the rig and renders the trail rows plus the Σ summary.
 // Pure function of its arguments; safe on worker goroutines.
-func whyCell(seed uint64, lookahead sim.Time) whyOut {
-	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), seed, lookahead)
+func whyCell(seed uint64) whyOut {
+	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), seed)
 	if err != nil {
 		return whyOut{errStr: err.Error()}
 	}

@@ -12,7 +12,7 @@ import (
 // two drains after recovery. Anything more (a spurious scale event, a
 // failover before the cordon) or less (a missed record) fails here.
 func TestWhyTrailExactSequence(t *testing.T) {
-	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), 1, 0)
+	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), 1)
 	if err != nil {
 		t.Fatalf("RunWhy: %v", err)
 	}

@@ -2,8 +2,8 @@
 // metrics registry (counters, gauges, histograms keyed by
 // subsystem/VM/CPU labels), a sim-engine-driven periodic sampler that
 // snapshots registered metrics into time series, and machine-readable
-// exporters (Prometheus text, CSV time series, Chrome trace_viewer
-// JSON).
+// exporters (Prometheus text, CSV time series). The Chrome trace_viewer
+// export of the scheduling trace lives with the log, in internal/trace.
 //
 // Collection is opt-in and nil-safe, mirroring trace.Log: a nil
 // *Registry hands out nil metric handles, and every mutating method on

@@ -1,39 +1,22 @@
 package span
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
-// Perfetto-compatible nested span export, in the same Chrome Trace
-// Event Format as obs.WriteChromeTrace (B/E duration slices + metadata
-// events; loads directly in chrome://tracing and ui.perfetto.dev).
-// Each request becomes one thread track; the span tree nests on it:
-// an outer request slice, phase slices inside it, and categorized leaf
-// segments inside those. Multiple TrackSets (e.g. one per scheduling
-// strategy) render as separate processes in one file, so baseline and
-// IRS timelines sit side by side.
-
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Cat  string            `json:"cat,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-func usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
+// Perfetto-compatible nested span export, written through
+// trace.ChromeTrace (B/E duration slices + metadata events on the
+// shared microsecond timebase; loads directly in chrome://tracing and
+// ui.perfetto.dev). Each request becomes one thread track; the span
+// tree nests on it: an outer request slice, phase slices inside it,
+// and categorized leaf segments inside those. Multiple TrackSets (e.g.
+// one per scheduling strategy) render as separate processes in one
+// file, so baseline and IRS timelines sit side by side.
 
 func dur(t sim.Time) string { return time.Duration(t).String() }
 
@@ -47,52 +30,29 @@ type TrackSet struct {
 // WriteChromeSpans renders the track sets as Chrome trace JSON.
 // Unfinished spans are skipped (they have no right edge to draw).
 func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
+	var out trace.ChromeTrace
 	for si, set := range sets {
 		pid := si + 1
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]string{"name": set.Name},
-		})
-		tid := 0
+		out.Process(pid, set.Name)
+		t := trace.Track{Pid: pid}
 		for _, s := range set.Spans {
 			if s == nil || !s.Finished() {
 				continue
 			}
-			tid++
+			t.Tid++
 			req := fmt.Sprintf("req %d", s.ID)
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]string{"name": fmt.Sprintf("%s (wall %s)", req, dur(s.Wall()))},
-			})
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: req, Ph: "B", Ts: usec(s.Start), Pid: pid, Tid: tid, Cat: "request",
-				Args: map[string]string{"wall": dur(s.Wall())},
-			})
+			out.Thread(t, fmt.Sprintf("%s (wall %s)", req, dur(s.Wall())))
+			out.Begin(t, s.Start, req, "request", map[string]string{"wall": dur(s.Wall())})
 			for _, p := range s.Phases {
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: p.Name, Ph: "B", Ts: usec(p.Start), Pid: pid, Tid: tid, Cat: "phase",
-				})
+				out.Begin(t, p.Start, p.Name, "phase", nil)
 				for _, seg := range p.Segments {
-					out.TraceEvents = append(out.TraceEvents,
-						chromeEvent{
-							Name: seg.Cat.String(), Ph: "B", Ts: usec(seg.Start),
-							Pid: pid, Tid: tid, Cat: "segment",
-							Args: map[string]string{"dur": dur(seg.Dur())},
-						},
-						chromeEvent{
-							Name: seg.Cat.String(), Ph: "E", Ts: usec(seg.End),
-							Pid: pid, Tid: tid, Cat: "segment",
-						})
+					out.Begin(t, seg.Start, seg.Cat.String(), "segment", map[string]string{"dur": dur(seg.Dur())})
+					out.End(t, seg.End, seg.Cat.String(), "segment")
 				}
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: p.Name, Ph: "E", Ts: usec(p.End), Pid: pid, Tid: tid, Cat: "phase",
-				})
+				out.End(t, p.End, p.Name, "phase")
 			}
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: req, Ph: "E", Ts: usec(s.End), Pid: pid, Tid: tid, Cat: "request",
-			})
+			out.End(t, s.End, req, "request")
 		}
 	}
-	return json.NewEncoder(w).Encode(out)
+	return out.Write(w)
 }

@@ -1,13 +1,15 @@
 // Package trace records scheduling events from the hypervisor and
 // guest kernels into a bounded in-memory log, for debugging scenarios
-// and for rendering execution timelines (cmd/irstrace). Tracing is
-// optional: components emit events only when a *Log is attached.
+// and for rendering execution timelines (cmd/irstrace, Perfetto).
+// Tracing is optional: components emit events only when a *Log is
+// attached. The package also holds the two pieces every observability
+// log shares: the bounded Ring and the Chrome Trace Event Format
+// writer.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 
 	"repro/internal/sim"
@@ -156,39 +158,18 @@ func (r *record) event() Event {
 
 // Log is a bounded ring of events. NewLog(0) is unbounded.
 type Log struct {
-	limit   int
-	buf     []record // grows to limit, then wraps with the oldest at head
-	head    int
-	dropped uint64
+	ring Ring[record]
 }
 
 // NewLog creates a log keeping at most limit events (0 = unbounded).
 func NewLog(limit int) *Log {
-	return &Log{limit: limit}
-}
-
-// add appends r, overwriting the oldest event once the ring is full.
-// The ring doubles up to its limit on demand, so a quiet log stays
-// small and a busy one never holds more than limit records.
-func (l *Log) add(r record) {
-	if l.limit <= 0 || len(l.buf) < l.limit {
-		if len(l.buf) == cap(l.buf) && l.limit > 0 {
-			l.buf = slices.Grow(l.buf, min(max(2*len(l.buf), 64), l.limit)-len(l.buf))
-		}
-		l.buf = append(l.buf, r)
-		return
-	}
-	l.buf[l.head] = r
-	if l.head++; l.head == len(l.buf) {
-		l.head = 0
-	}
-	l.dropped++
+	return &Log{ring: NewRing[record](limit)}
 }
 
 // Record appends an event with a literal detail, evicting the oldest
 // past the limit.
 func (l *Log) Record(at sim.Time, kind Kind, subject, detail string) {
-	l.add(record{at: at, kind: kind, subject: subject, format: detail})
+	l.ring.Push(record{at: at, kind: kind, subject: subject, format: detail})
 }
 
 // Recordf appends an event whose detail is format applied to args; the
@@ -200,29 +181,29 @@ func (l *Log) Recordf(at sim.Time, kind Kind, subject, format string, args ...Ar
 	if copy(r.args[:], args) < len(args) {
 		panic(fmt.Sprintf("trace: Recordf %q with %d operands (max %d)", format, len(args), len(r.args)))
 	}
-	l.add(r)
+	l.ring.Push(r)
 }
 
 // each calls fn on every retained record, oldest first.
 func (l *Log) each(fn func(r *record)) {
-	for i := range l.buf {
-		fn(&l.buf[(l.head+i)%len(l.buf)])
+	for i := 0; i < l.ring.Len(); i++ {
+		fn(l.ring.At(i))
 	}
 }
 
 // Events returns the retained events in order, formatting each detail.
 // The slice is the caller's: later recording cannot change it.
 func (l *Log) Events() []Event {
-	out := make([]Event, 0, len(l.buf))
+	out := make([]Event, 0, l.ring.Len())
 	l.each(func(r *record) { out = append(out, r.event()) })
 	return out
 }
 
 // Dropped reports how many events were evicted.
-func (l *Log) Dropped() uint64 { return l.dropped }
+func (l *Log) Dropped() uint64 { return l.ring.Dropped() }
 
 // Len returns the number of retained events.
-func (l *Log) Len() int { return len(l.buf) }
+func (l *Log) Len() int { return l.ring.Len() }
 
 // Filter returns events matching kind (and subject, when non-empty).
 func (l *Log) Filter(kind Kind, subject string) []Event {
@@ -248,8 +229,8 @@ func (l *Log) Dump(w io.Writer, from, to sim.Time) error {
 	if err != nil {
 		return err
 	}
-	if l.dropped > 0 {
-		_, err := fmt.Fprintf(w, "(%d earlier events dropped)\n", l.dropped)
+	if d := l.Dropped(); d > 0 {
+		_, err := fmt.Fprintf(w, "(%d earlier events dropped)\n", d)
 		return err
 	}
 	return nil

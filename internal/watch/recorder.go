@@ -60,8 +60,8 @@ type Incident struct {
 	Rankings []RankedAggressor `json:"rankings,omitempty"`
 	Triples  []AggressorScore  `json:"triples,omitempty"`
 
-	Series []SeriesDump `json:"series,omitempty"`
-	Hosts  []HostEvents `json:"hosts,omitempty"`
+	Series []SeriesDump  `json:"series,omitempty"`
+	Hosts  []HostEvents  `json:"hosts,omitempty"`
 	Spans  []SpanSummary `json:"spans,omitempty"`
 
 	// spans kept aside for the Chrome-trace dump.
@@ -87,14 +87,10 @@ func (inc *Incident) WriteTrace(w io.Writer) error {
 }
 
 // Recorder is the flight recorder: bounded rings of recent spans and
-// per-host sim events, plus the incident store. All rings are sized at
-// construction; a run that records nothing keeps only empty slices.
+// per-host sim events, plus the incident store. Rings allocate on
+// first use; a run that records nothing keeps only empty slices.
 type Recorder struct {
-	spanCap  int
-	spans    []*span.Span // ring, insertion order via next
-	spanNext int
-	total    int64
-
+	spans trace.Ring[*span.Span]
 	hosts []recorderHost
 
 	maxIncidents int
@@ -129,7 +125,7 @@ func NewRecorder(spanCap, maxIncidents int) *Recorder {
 	if maxIncidents <= 0 {
 		maxIncidents = DefaultMaxIncidents
 	}
-	return &Recorder{spanCap: spanCap, maxIncidents: maxIncidents}
+	return &Recorder{spans: trace.NewRing[*span.Span](spanCap), maxIncidents: maxIncidents}
 }
 
 // ObserveSpan folds one finished span into the ring; wire it to
@@ -138,17 +134,13 @@ func (rec *Recorder) ObserveSpan(s *span.Span) {
 	if s == nil {
 		return
 	}
-	rec.total++
-	if len(rec.spans) < rec.spanCap {
-		rec.spans = append(rec.spans, s)
-		return
-	}
-	rec.spans[rec.spanNext] = s
-	rec.spanNext = (rec.spanNext + 1) % rec.spanCap
+	rec.spans.Push(s)
 }
 
 // SpanCount returns how many spans the recorder has seen in total.
-func (rec *Recorder) SpanCount() int64 { return rec.total }
+func (rec *Recorder) SpanCount() int64 {
+	return int64(rec.spans.Len()) + int64(rec.spans.Dropped())
+}
 
 // AddHostLog registers one host's bounded event log for inclusion in
 // incident bundles.
@@ -231,7 +223,7 @@ func (rec *Recorder) Capture(at sim.Time, reason, detail string, st *Store, from
 	}
 
 	// Slowest recent spans, then back into start order for rendering.
-	recent := append([]*span.Span(nil), rec.spans...)
+	recent := rec.spans.AppendTo(nil)
 	sort.Slice(recent, func(i, j int) bool {
 		if recent[i].Wall() != recent[j].Wall() {
 			return recent[i].Wall() > recent[j].Wall()
@@ -241,7 +233,12 @@ func (rec *Recorder) Capture(at sim.Time, reason, detail string, st *Store, from
 	if len(recent) > traceSpanCount {
 		recent = recent[:traceSpanCount]
 	}
-	sort.Slice(recent, func(i, j int) bool { return recent[i].Start < recent[j].Start })
+	sort.Slice(recent, func(i, j int) bool {
+		if recent[i].Start != recent[j].Start {
+			return recent[i].Start < recent[j].Start
+		}
+		return recent[i].ID < recent[j].ID
+	})
 	inc.traceSpans = recent
 	for _, s := range recent {
 		inc.Spans = append(inc.Spans, SpanSummary{
