@@ -5,20 +5,23 @@ import (
 	"testing"
 )
 
+// querySeeds seed FuzzParseQuery and feed TestParseQueryGolden.
+var querySeeds = []string{
+	"",
+	"all",
+	"kind=place",
+	"kind=place,route vm=t3 t>40ms",
+	"kind=zone-pick,autoscale chooser=ctl winner=host2",
+	"vm=srv0#2 t>1.5ms t<2s",
+	"t<6s",
+	"kind=boost,preempt vm=ant1",
+}
+
 // FuzzParseQuery pins the parser's two contracts: it never panics on
 // arbitrary input, and every accepted query round-trips through its
 // canonical String form to an identical Query.
 func FuzzParseQuery(f *testing.F) {
-	for _, s := range []string{
-		"",
-		"all",
-		"kind=place",
-		"kind=place,route vm=t3 t>40ms",
-		"kind=zone-pick,autoscale chooser=ctl winner=host2",
-		"vm=srv0#2 t>1.5ms t<2s",
-		"t<6s",
-		"kind=boost,preempt vm=ant1",
-	} {
+	for _, s := range querySeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {

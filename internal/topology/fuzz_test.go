@@ -7,43 +7,45 @@ import (
 	"repro/internal/topology"
 )
 
+// loadSpecSeeds seed FuzzParseLoadSpec and feed TestParseLoadSpecGolden.
+var loadSpecSeeds = []string{
+	"",
+	"topo:zones=2,hosts=8,pcpus=4",
+	"topo:zones=2,hosts=8,pcpus=4; sched:policy=ia,strategy=irs,migrate=on; " +
+		"load:arrival=1ms,service=2ms,slo=25ms,duration=12s,drain=2s; " +
+		"ramp:1500us@0,1ms@2s,800us@4s; " +
+		"tenants:servers=2,server-vcpus=2,ants=2,ant-vcpus=2,spacing=500ms; " +
+		"outage:zone=1,at=6s,for=1200ms; " +
+		"alert:budget=0.02,fast=500ms,slow=2s,burn=3; " +
+		"autoscale:max=8,step=2,cooldown=1500ms,down-after=2500ms",
+	"load:arrival=1ms,duration=6s; diurnal:period=2s,swing=0.4,steps=8",
+	"sched:policy=first-fit,strategy=vanilla,overcommit=2,migrate=off",
+	"# comment\ntopo:zones=3,hosts=2\noutage:zone=0,at=1s,for=500ms\noutage:zone=2,at=2s,for=500ms",
+	"TOPO: zones = 2 , hosts = 4",
+	"topo:zones=2",
+	"bogus:zones=2",
+	"topo zones=2",
+	"topo:zones=two",
+	"topo:zones=2,zones=3",
+	"topo:zones=-1,hosts=4",
+	"ramp:1ms@0; diurnal:period=2s,swing=0.3",
+	"ramp:1ms@1s,2ms@1s",
+	"ramp:1ms",
+	"outage:zone=9,at=1s,for=1s",
+	"autoscale:max=8",
+	"alert:fast=2s,slow=1s",
+	"tenants:servers=0,ants=1",
+	"load:arrival=9223372036854775807ns",
+	"sched:overcommit=nan",
+	";;;",
+	"=,=,=",
+}
+
 // FuzzParseLoadSpec asserts that arbitrary cluster-load specs never
 // panic and that any spec ParseLoadSpec accepts is valid and survives a
 // String → ParseLoadSpec round trip to a deeply equal value.
 func FuzzParseLoadSpec(f *testing.F) {
-	seeds := []string{
-		"",
-		"topo:zones=2,hosts=8,pcpus=4",
-		"topo:zones=2,hosts=8,pcpus=4; sched:policy=ia,strategy=irs,migrate=on; " +
-			"load:arrival=1ms,service=2ms,slo=25ms,duration=12s,drain=2s; " +
-			"ramp:1500us@0,1ms@2s,800us@4s; " +
-			"tenants:servers=2,server-vcpus=2,ants=2,ant-vcpus=2,spacing=500ms; " +
-			"outage:zone=1,at=6s,for=1200ms; " +
-			"alert:budget=0.02,fast=500ms,slow=2s,burn=3; " +
-			"autoscale:max=8,step=2,cooldown=1500ms,down-after=2500ms",
-		"load:arrival=1ms,duration=6s; diurnal:period=2s,swing=0.4,steps=8",
-		"sched:policy=first-fit,strategy=vanilla,overcommit=2,migrate=off",
-		"# comment\ntopo:zones=3,hosts=2\noutage:zone=0,at=1s,for=500ms\noutage:zone=2,at=2s,for=500ms",
-		"TOPO: zones = 2 , hosts = 4",
-		"topo:zones=2",
-		"bogus:zones=2",
-		"topo zones=2",
-		"topo:zones=two",
-		"topo:zones=2,zones=3",
-		"topo:zones=-1,hosts=4",
-		"ramp:1ms@0; diurnal:period=2s,swing=0.3",
-		"ramp:1ms@1s,2ms@1s",
-		"ramp:1ms",
-		"outage:zone=9,at=1s,for=1s",
-		"autoscale:max=8",
-		"alert:fast=2s,slow=1s",
-		"tenants:servers=0,ants=1",
-		"load:arrival=9223372036854775807ns",
-		"sched:overcommit=nan",
-		";;;",
-		"=,=,=",
-	}
-	for _, s := range seeds {
+	for _, s := range loadSpecSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {

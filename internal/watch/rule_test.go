@@ -30,21 +30,21 @@ func TestParseRuleDefaults(t *testing.T) {
 
 func TestParseRuleErrors(t *testing.T) {
 	cases := []string{
-		"",                              // no colon
-		"noname",                        // no colon
-		":budget=0.1",                   // empty name
-		"x:fast=1s",                     // budget missing
-		"x:budget=0",                    // budget out of range
-		"x:budget=1",                    // budget out of range
-		"x:budget=0.1,budget=0.2",       // duplicate field
-		"x:budget=0.1,fast=0s",          // fast not positive
-		"x:budget=0.1,fast=2s,slow=1s",  // slow < fast
-		"x:budget=0.1,burn=0",           // burn not positive
-		"x:budget=0.1,bogus=3",          // unknown field
-		"x:budget=abc",                  // bad float
-		"x:budget=0.1,fast=xyz",         // bad duration
-		"x:budget=0.1,",                 // empty field
-		"a b:budget=0.1",                // reserved char in name
+		"",                             // no colon
+		"noname",                       // no colon
+		":budget=0.1",                  // empty name
+		"x:fast=1s",                    // budget missing
+		"x:budget=0",                   // budget out of range
+		"x:budget=1",                   // budget out of range
+		"x:budget=0.1,budget=0.2",      // duplicate field
+		"x:budget=0.1,fast=0s",         // fast not positive
+		"x:budget=0.1,fast=2s,slow=1s", // slow < fast
+		"x:budget=0.1,burn=0",          // burn not positive
+		"x:budget=0.1,bogus=3",         // unknown field
+		"x:budget=abc",                 // bad float
+		"x:budget=0.1,fast=xyz",        // bad duration
+		"x:budget=0.1,",                // empty field
+		"a b:budget=0.1",               // reserved char in name
 	}
 	for _, c := range cases {
 		if _, err := ParseRule(c); err == nil {
@@ -86,20 +86,23 @@ func TestRuleStringRoundTrip(t *testing.T) {
 	}
 }
 
+// ruleSeeds seed FuzzParseRule and feed TestParseRuleGolden.
+var ruleSeeds = []string{
+	"page:budget=0.02,fast=500ms,slow=2s,burn=4",
+	"slo:budget=0.1",
+	"x:budget=0.5,burn=1.5",
+	"a:budget=0.001,fast=10ms,slow=10m,burn=14.4",
+	"bad:burn=2",
+	":budget=0.1",
+	"x:budget=0.1,fast=-1s",
+	"x:budget=NaN",
+	"x:budget=0.1,slow=1h,fast=59m59s",
+}
+
 // FuzzParseRule drives the parser with arbitrary input; whatever
 // parses must validate, render, and round-trip to an equal rule.
 func FuzzParseRule(f *testing.F) {
-	for _, seed := range []string{
-		"page:budget=0.02,fast=500ms,slow=2s,burn=4",
-		"slo:budget=0.1",
-		"x:budget=0.5,burn=1.5",
-		"a:budget=0.001,fast=10ms,slow=10m,burn=14.4",
-		"bad:burn=2",
-		":budget=0.1",
-		"x:budget=0.1,fast=-1s",
-		"x:budget=NaN",
-		"x:budget=0.1,slow=1h,fast=59m59s",
-	} {
+	for _, seed := range ruleSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
