@@ -5,9 +5,10 @@
 GO ?= go
 
 # Committed benchmark baseline for the regression gate (see
-# cmd/benchjson and DESIGN.md §9). BENCH_6 adds the decision-log
-# paired benchmarks (hot path with/without auditing, DESIGN.md §16).
-BENCH_SNAPSHOT ?= BENCH_6.json
+# cmd/benchjson and DESIGN.md §9). BENCH_7 re-baselines every
+# benchmark after the allocation-free engine and rack work, so the
+# ±15% allocs/op gate measures against today's counts.
+BENCH_SNAPSHOT ?= BENCH_7.json
 
 .PHONY: check build vet test race bench bench-compare report fuzz-smoke chaos examples cover blame watch attack scale scale-sweep why
 
