@@ -71,6 +71,8 @@ fuzz-smoke:
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseAttack -fuzztime 5s
 	$(GO) test ./internal/topology -run '^$$' -fuzz FuzzParseLoadSpec -fuzztime 5s
 	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzParseQuery -fuzztime 5s
+	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzParseKinds -fuzztime 5s
+	$(GO) test ./internal/kv -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
 
 # Adversarial-tenant smoke run: the tick-evader vs every accounting
 # defense; the gate fails unless jittered ticks + exact accounting

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/kv"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/span"
@@ -47,17 +48,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var variants []experiments.BlameVariant
-	for _, name := range strings.Split(*strategies, ",") {
-		v, ok := experiments.BlameVariantByName(strings.TrimSpace(name))
+	variants, err := kv.List(*strategies, func(name string) (experiments.BlameVariant, error) {
+		v, ok := experiments.BlameVariantByName(name)
 		if !ok {
-			fmt.Fprintf(stderr, "irsblame: unknown strategy %q (valid: vanilla, ple, irs)\n", name)
-			return 2
+			return v, fmt.Errorf("unknown strategy %q (valid: vanilla, ple, irs)", name)
 		}
-		variants = append(variants, v)
-	}
-	if len(variants) == 0 {
-		fmt.Fprintln(stderr, "irsblame: no strategies selected")
+		return v, nil
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "irsblame: -strategy: %v\n", err)
 		return 2
 	}
 

@@ -39,6 +39,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
+	"repro/internal/kv"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -81,17 +82,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "irsreport: unknown benchmark %q\n", *benchName)
 		return 1
 	}
-	var strategies []core.Strategy
-	for _, name := range strings.Split(*stratArg, ",") {
-		s, ok := strategyByName(strings.TrimSpace(name))
+	strategies, err := kv.List(*stratArg, func(name string) (core.Strategy, error) {
+		s, ok := strategyByName(name)
 		if !ok {
-			fmt.Fprintf(stderr, "irsreport: unknown strategy %q (valid: vanilla, ple, relaxed-co, irs, strict-co)\n", name)
-			return 2
+			return s, fmt.Errorf("unknown strategy %q (valid: vanilla, ple, relaxed-co, irs, strict-co)", name)
 		}
-		strategies = append(strategies, s)
-	}
-	if len(strategies) == 0 {
-		fmt.Fprintln(stderr, "irsreport: no strategy given")
+		return s, nil
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "irsreport: -strategy: %v\n", err)
 		return 2
 	}
 

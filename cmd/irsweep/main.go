@@ -29,6 +29,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/kv"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -107,9 +108,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *clusterSweep {
-		hosts, ok := parseIntList(*hostsList)
-		if !ok || len(hosts) == 0 {
-			fmt.Fprintf(stderr, "irsweep: bad -hosts %q\n", *hostsList)
+		hosts, err := kv.List(*hostsList, count)
+		if err != nil {
+			fmt.Fprintf(stderr, "irsweep: bad -hosts %q: %v\n", *hostsList, err)
 			return 2
 		}
 		if *zones < 1 {
@@ -156,9 +157,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	levels, ok := parseIntList(*interList)
-	if !ok {
-		fmt.Fprintf(stderr, "irsweep: bad -inter %q\n", *interList)
+	levels, err := kv.List(*interList, count)
+	if err != nil {
+		fmt.Fprintf(stderr, "irsweep: bad -inter %q: %v\n", *interList, err)
 		return 2
 	}
 
@@ -202,17 +203,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parseIntList parses a comma-separated list of non-negative ints.
-func parseIntList(s string) ([]int, bool) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 0 {
-			return nil, false
-		}
-		out = append(out, n)
+// count parses one non-negative -hosts/-inter list element.
+func count(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("negative count %d", n)
 	}
-	return out, true
+	return n, err
 }
 
 // clusterMatrix sweeps the experiment's placement variants over rack

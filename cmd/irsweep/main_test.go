@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/kv"
 )
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
@@ -42,12 +44,14 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-func TestParseIntList(t *testing.T) {
-	if got, ok := parseIntList(" 2, 3 ,4"); !ok || len(got) != 3 || got[0] != 2 || got[2] != 4 {
-		t.Fatalf("parseIntList = %v, %v", got, ok)
+func TestCountList(t *testing.T) {
+	if got, err := kv.List(" 2, 3 ,4", count); err != nil || len(got) != 3 || got[0] != 2 || got[2] != 4 {
+		t.Fatalf("count list = %v, %v", got, err)
 	}
-	if _, ok := parseIntList("2,-1"); ok {
-		t.Fatal("parseIntList accepted a negative entry")
+	for _, bad := range []string{"2,-1", "2,,3", ""} {
+		if _, err := kv.List(bad, count); err == nil {
+			t.Fatalf("count list accepted %q", bad)
+		}
 	}
 }
 

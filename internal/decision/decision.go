@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/kv"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -119,21 +120,37 @@ func ParseKinds(s string) ([]Kind, error) {
 	case "ctl":
 		return ControlKinds(), nil
 	}
-	var mask uint32
-	for _, part := range strings.Split(s, ",") {
-		k, ok := ParseKind(strings.TrimSpace(part))
+	kinds, _, err := parseKinds(s)
+	if err != nil {
+		return nil, fmt.Errorf("decision: %v", err)
+	}
+	return kinds, nil
+}
+
+// parseKinds parses a comma-separated kind list into enum order,
+// reporting whether it names a kind twice.
+func parseKinds(s string) (kinds []Kind, dup bool, err error) {
+	list, err := kv.List(s, func(name string) (Kind, error) {
+		k, ok := ParseKind(name)
 		if !ok {
-			return nil, fmt.Errorf("decision: unknown kind %q", strings.TrimSpace(part))
+			return 0, fmt.Errorf("unknown kind %q", name)
 		}
+		return k, nil
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	var mask uint32
+	for _, k := range list {
+		dup = dup || mask&(1<<uint(k)) != 0
 		mask |= 1 << uint(k)
 	}
-	var out []Kind
 	for _, k := range AllKinds() {
 		if mask&(1<<uint(k)) != 0 {
-			out = append(out, k)
+			kinds = append(kinds, k)
 		}
 	}
-	return out, nil
+	return kinds, dup, nil
 }
 
 // Candidate is one option a decision considered. Score is

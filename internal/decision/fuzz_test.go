@@ -2,7 +2,10 @@ package decision
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // querySeeds seed FuzzParseQuery and feed TestParseQueryGolden.
@@ -39,6 +42,40 @@ func FuzzParseQuery(f *testing.F) {
 		}
 		if got := q2.String(); got != canon {
 			t.Fatalf("String not a fixed point: %q -> %q", canon, got)
+		}
+	})
+}
+
+// FuzzParseKinds covers both kind-list grammars, decision.ParseKinds
+// and trace.ParseKinds: neither panics, and every accepted list
+// re-renders and re-parses to the same selection.
+func FuzzParseKinds(f *testing.F) {
+	for _, s := range []string{
+		"", "all", "ctl", "route, place", "place,place", "bogus", "place,,route", "place,",
+		"sa,migrate", " vcpu , note ", "sa,,migrate", ",", "sa,bogus",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if kinds, err := ParseKinds(s); err == nil {
+			names := make([]string, len(kinds))
+			for i, k := range kinds {
+				names[i] = k.String()
+			}
+			back, err := ParseKinds(strings.Join(names, ","))
+			if err != nil || !reflect.DeepEqual(back, kinds) {
+				t.Fatalf("decision kinds %q: %v -> %v, %v", s, kinds, back, err)
+			}
+		}
+		if m, err := trace.ParseKinds(s); err == nil && m != nil {
+			var names []string
+			for k := range m {
+				names = append(names, k.String())
+			}
+			back, err := trace.ParseKinds(strings.Join(names, ","))
+			if err != nil || !reflect.DeepEqual(back, m) {
+				t.Fatalf("trace kinds %q: %v -> %v, %v", s, m, back, err)
+			}
 		}
 	})
 }

@@ -2,10 +2,10 @@ package decision
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/kv"
 	"repro/internal/sim"
 )
 
@@ -32,6 +32,31 @@ type Query struct {
 	Before  sim.Time // t<: strictly earlier than this (0 = unset)
 }
 
+// queryFields is the key=value clause grammar; its render omits unset
+// clauses.
+var queryFields = kv.Sparse(
+	kv.Func("kind", parseQueryKinds, func(q *Query) string {
+		names := make([]string, len(q.Kinds))
+		for i, k := range q.Kinds {
+			names[i] = k.String()
+		}
+		return strings.Join(names, ",")
+	}),
+	kv.Text("vm", func(q *Query) *string { return &q.VM }),
+	kv.Text("chooser", func(q *Query) *string { return &q.Chooser }),
+	kv.Text("winner", func(q *Query) *string { return &q.Winner }),
+)
+
+// parseQueryKinds sets q.Kinds from a kind list without duplicates.
+func parseQueryKinds(q *Query, val string) error {
+	kinds, dup, err := parseKinds(val)
+	if dup {
+		err = fmt.Errorf("duplicate kind in %q", val)
+	}
+	q.Kinds = kinds
+	return err
+}
+
 // ParseQuery parses the filter grammar.
 func ParseQuery(s string) (Query, error) {
 	var q Query
@@ -39,61 +64,31 @@ func ParseQuery(s string) (Query, error) {
 	if s == "" || s == "all" {
 		return q, nil
 	}
-	seen := map[string]bool{}
+	var seen kv.Seen
+	var bounded [2]bool // t>, t< given
 	for _, clause := range strings.Fields(s) {
-		switch {
-		case strings.HasPrefix(clause, "t>"), strings.HasPrefix(clause, "t<"):
-			key := clause[:2]
-			if seen[key] {
-				return Query{}, fmt.Errorf("decision: duplicate %q clause", key)
+		if !strings.HasPrefix(clause, "t>") && !strings.HasPrefix(clause, "t<") {
+			if err := queryFields.Set(&q, clause, &seen); err != nil {
+				return Query{}, fmt.Errorf("decision: clause %q: %v (want kind/vm/chooser/winner/t>/t<)", clause, err)
 			}
-			seen[key] = true
-			d, err := time.ParseDuration(clause[2:])
-			if err != nil {
-				return Query{}, fmt.Errorf("decision: bad duration in %q: %v", clause, err)
-			}
-			if d < 0 {
-				return Query{}, fmt.Errorf("decision: negative duration in %q", clause)
-			}
-			if key == "t>" {
-				q.After = sim.Duration(d)
-			} else {
-				q.Before = sim.Duration(d)
-			}
-		default:
-			key, val, ok := strings.Cut(clause, "=")
-			if !ok || val == "" {
-				return Query{}, fmt.Errorf("decision: clause %q is not key=value", clause)
-			}
-			if seen[key] {
-				return Query{}, fmt.Errorf("decision: duplicate %q clause", key)
-			}
-			seen[key] = true
-			switch key {
-			case "kind":
-				var mask uint32
-				for _, part := range strings.Split(val, ",") {
-					k, kok := ParseKind(part)
-					if !kok {
-						return Query{}, fmt.Errorf("decision: unknown kind %q", part)
-					}
-					if mask&(1<<uint(k)) != 0 {
-						return Query{}, fmt.Errorf("decision: duplicate kind %q", part)
-					}
-					mask |= 1 << uint(k)
-					q.Kinds = append(q.Kinds, k)
-				}
-				sort.Slice(q.Kinds, func(i, j int) bool { return q.Kinds[i] < q.Kinds[j] })
-			case "vm":
-				q.VM = val
-			case "chooser":
-				q.Chooser = val
-			case "winner":
-				q.Winner = val
-			default:
-				return Query{}, fmt.Errorf("decision: unknown clause key %q (want kind/vm/chooser/winner/t>/t<)", key)
-			}
+			continue
 		}
+		i, bound := 0, &q.After
+		if clause[1] == '<' {
+			i, bound = 1, &q.Before
+		}
+		if bounded[i] {
+			return Query{}, fmt.Errorf("decision: duplicate %q clause", clause[:2])
+		}
+		bounded[i] = true
+		d, err := time.ParseDuration(clause[2:])
+		if err != nil {
+			return Query{}, fmt.Errorf("decision: bad duration in %q: %v", clause, err)
+		}
+		if d < 0 {
+			return Query{}, fmt.Errorf("decision: negative duration in %q", clause)
+		}
+		*bound = sim.Duration(d)
 	}
 	if q.After > 0 && q.Before > 0 && q.Before <= q.After {
 		return Query{}, fmt.Errorf("decision: empty time window t>%v t<%v", q.After, q.Before)
@@ -103,23 +98,7 @@ func ParseQuery(s string) (Query, error) {
 
 // String renders the canonical query form; ParseQuery round-trips it.
 func (q Query) String() string {
-	var parts []string
-	if len(q.Kinds) > 0 {
-		names := make([]string, len(q.Kinds))
-		for i, k := range q.Kinds {
-			names[i] = k.String()
-		}
-		parts = append(parts, "kind="+strings.Join(names, ","))
-	}
-	if q.VM != "" {
-		parts = append(parts, "vm="+q.VM)
-	}
-	if q.Chooser != "" {
-		parts = append(parts, "chooser="+q.Chooser)
-	}
-	if q.Winner != "" {
-		parts = append(parts, "winner="+q.Winner)
-	}
+	parts := queryFields.Append(nil, &q)
 	if q.After > 0 {
 		parts = append(parts, "t>"+q.After.Std().String())
 	}

@@ -124,11 +124,8 @@ func ScaleConfig(spec topology.LoadSpec, seed uint64) (cluster.Config, error) {
 	for _, o := range spec.Outages {
 		cfg.ZoneOutages = append(cfg.ZoneOutages, cluster.ZoneOutage{Zone: o.Zone, At: o.At, For: o.For})
 	}
-	if a := spec.Alert; a != nil {
-		cfg.Watch = &watch.Config{
-			Interval: DefaultWatchInterval,
-			Rules:    []watch.Rule{{Name: "slo-burn", Budget: a.Budget, Fast: a.Fast, Slow: a.Slow, Burn: a.Burn}},
-		}
+	if spec.Alert != nil {
+		cfg.Watch = &watch.Config{Interval: DefaultWatchInterval, Rules: []watch.Rule{*spec.Alert}}
 	}
 	if as := spec.Autoscale; as != nil {
 		tmpl := cluster.VMSpec{

@@ -17,10 +17,9 @@ package fault
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 
+	"repro/internal/kv"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -88,7 +87,7 @@ func (p Plan) Validate() error {
 		{"stall-p", p.StallProb},
 	}
 	for _, pr := range probs {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) {
 			return fmt.Errorf("fault: %s=%v outside [0,1]", pr.name, pr.v)
 		}
 	}
@@ -118,45 +117,39 @@ func (p Plan) Validate() error {
 	return nil
 }
 
+// planFields is the plan grammar: probability keys take floats in
+// [0,1] and duration keys Go durations ("50us", "2ms"). The render
+// omits zero fields, in this order.
+var planFields = kv.Sparse(
+	kv.Float("drop-sa", func(p *Plan) *float64 { return &p.DropSA }),
+	kv.Float("dup-sa", func(p *Plan) *float64 { return &p.DupSA }),
+	kv.Dur("delay-sa", func(p *Plan) *sim.Time { return &p.DelaySA }),
+	kv.Float("drop-wake", func(p *Plan) *float64 { return &p.DropWake }),
+	kv.Float("dup-wake", func(p *Plan) *float64 { return &p.DupWake }),
+	kv.Dur("delay-wake", func(p *Plan) *sim.Time { return &p.DelayWake }),
+	kv.Float("ack-loss", func(p *Plan) *float64 { return &p.AckLoss }),
+	kv.Dur("ack-delay", func(p *Plan) *sim.Time { return &p.AckDelay }),
+	kv.Dur("stale-runstate", func(p *Plan) *sim.Time { return &p.StaleRunstate }),
+	kv.Float("tick-jitter", func(p *Plan) *float64 { return &p.TickJitter }),
+	kv.Float("stall-p", func(p *Plan) *float64 { return &p.StallProb }),
+	kv.Dur("stall-for", func(p *Plan) *sim.Time { return &p.StallFor }),
+	kv.Dur("blackout-every", func(p *Plan) *sim.Time { return &p.BlackoutEvery }),
+	kv.Dur("blackout-for", func(p *Plan) *sim.Time { return &p.BlackoutFor }),
+)
+
 // String renders the plan as a canonical spec that ParsePlan accepts:
 // comma-separated key=value pairs in fixed order, zero fields omitted.
 // The zero plan renders as "none".
 func (p Plan) String() string {
-	var parts []string
-	prob := func(key string, v float64) {
-		if v != 0 {
-			parts = append(parts, key+"="+strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	dur := func(key string, v sim.Time) {
-		if v != 0 {
-			parts = append(parts, key+"="+v.Std().String())
-		}
-	}
-	prob("drop-sa", p.DropSA)
-	prob("dup-sa", p.DupSA)
-	dur("delay-sa", p.DelaySA)
-	prob("drop-wake", p.DropWake)
-	prob("dup-wake", p.DupWake)
-	dur("delay-wake", p.DelayWake)
-	prob("ack-loss", p.AckLoss)
-	dur("ack-delay", p.AckDelay)
-	dur("stale-runstate", p.StaleRunstate)
-	prob("tick-jitter", p.TickJitter)
-	prob("stall-p", p.StallProb)
-	dur("stall-for", p.StallFor)
-	dur("blackout-every", p.BlackoutEvery)
-	dur("blackout-for", p.BlackoutFor)
-	if len(parts) == 0 {
+	if p.Zero() {
 		return "none"
 	}
-	return strings.Join(parts, ",")
+	return planFields.Format(&p)
 }
 
 // ParsePlan parses a fault-plan spec: comma-separated key=value pairs
-// where probability keys take floats in [0,1] and duration keys take Go
-// durations ("50us", "2ms"). "", "none" and "off" parse as the zero
-// plan. The result of Plan.String always round-trips.
+// (see planFields). "", "none" and "off" parse as the zero plan. The
+// result of Plan.String always round-trips.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
 	spec = strings.TrimSpace(spec)
@@ -164,56 +157,8 @@ func ParsePlan(spec string) (Plan, error) {
 	case "", "none", "off":
 		return p, nil
 	}
-	probFields := map[string]*float64{
-		"drop-sa":     &p.DropSA,
-		"dup-sa":      &p.DupSA,
-		"drop-wake":   &p.DropWake,
-		"dup-wake":    &p.DupWake,
-		"ack-loss":    &p.AckLoss,
-		"tick-jitter": &p.TickJitter,
-		"stall-p":     &p.StallProb,
-	}
-	durFields := map[string]*sim.Time{
-		"delay-sa":       &p.DelaySA,
-		"delay-wake":     &p.DelayWake,
-		"ack-delay":      &p.AckDelay,
-		"stale-runstate": &p.StaleRunstate,
-		"stall-for":      &p.StallFor,
-		"blackout-every": &p.BlackoutEvery,
-		"blackout-for":   &p.BlackoutFor,
-	}
-	seen := map[string]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("fault: %q is not key=value", part)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		if seen[key] {
-			return Plan{}, fmt.Errorf("fault: duplicate key %q", key)
-		}
-		seen[key] = true
-		switch {
-		case probFields[key] != nil:
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("fault: %s: %v", key, err)
-			}
-			*probFields[key] = f
-		case durFields[key] != nil:
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return Plan{}, fmt.Errorf("fault: %s: %v", key, err)
-			}
-			*durFields[key] = sim.Duration(d)
-		default:
-			return Plan{}, fmt.Errorf("fault: unknown key %q", key)
-		}
+	if err := planFields.Parse(&p, spec); err != nil {
+		return Plan{}, fmt.Errorf("fault: %v", err)
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -56,9 +57,20 @@ func TestParsePlanErrors(t *testing.T) {
 		"drop-sa=0.1,drop-sa=0.2", // duplicate key
 		"blackout-every=1ms",      // blackout period without duration
 		"stall-p=0.5",             // stall probability without duration
+		"drop-sa=NaN",             // not a number
 	} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) succeeded, want error", spec)
+		}
+	}
+}
+
+// TestValidateRejectsNonFiniteProbabilities covers plans built in code,
+// which never pass through the field parser's finiteness check.
+func TestValidateRejectsNonFiniteProbabilities(t *testing.T) {
+	for _, p := range []Plan{{DropSA: math.NaN()}, {TickJitter: math.NaN()}, {StallProb: math.Inf(1), StallFor: 1}} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", p)
 		}
 	}
 }

@@ -25,6 +25,7 @@ var planSeeds = []string{
 	"drop-sa=0.1,drop-sa=0.2",
 	"DROP-SA = 0.1 , TICK-JITTER = 1",
 	"drop-sa=1e-300,delay-sa=9223372036854775807ns",
+	"drop-sa=NaN",
 }
 
 // FuzzParsePlan asserts that arbitrary specs never panic and that any

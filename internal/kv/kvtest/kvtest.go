@@ -17,27 +17,15 @@ import (
 // target (testdata/fuzz/<target>/*).
 func Corpus(t testing.TB, target string) []string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths, _ := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*")) // errs only on a bad pattern
 	var out []string
 	for _, p := range paths {
 		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-		arg := ""
-		if len(lines) == 2 && lines[0] == "go test fuzz v1" {
-			arg = lines[1]
-		}
-		if !strings.HasPrefix(arg, "string(") || !strings.HasSuffix(arg, ")") {
-			t.Fatalf("%s: not a single-string fuzz corpus entry", p)
-		}
-		s, err := strconv.Unquote(arg[len("string(") : len(arg)-1])
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+		arg, ok := strings.CutPrefix(strings.TrimSpace(string(data)), "go test fuzz v1\nstring(")
+		arg, ok2 := strings.CutSuffix(arg, ")")
+		s, qerr := strconv.Unquote(arg)
+		if err != nil || !ok || !ok2 || qerr != nil {
+			t.Fatalf("%s: not a single-string fuzz corpus entry (%v)", p, err)
 		}
 		out = append(out, s)
 	}
@@ -50,23 +38,22 @@ func Corpus(t testing.TB, target string) []string {
 // returned. With update set it rewrites the file instead.
 func Golden(t *testing.T, path string, update bool, parse func(string) (string, error), inputs ...[]string) {
 	t.Helper()
-	seen := map[string]bool{}
-	var lines []string
+	lines := map[string]bool{}
 	for _, list := range inputs {
 		for _, in := range list {
-			if seen[in] {
-				continue
-			}
-			seen[in] = true
 			out := "reject"
 			if s, err := parse(in); err == nil {
 				out = strconv.Quote(s)
 			}
-			lines = append(lines, strconv.Quote(in)+" -> "+out)
+			lines[strconv.Quote(in)+" -> "+out] = true
 		}
 	}
-	sort.Strings(lines)
-	got := strings.Join(lines, "\n") + "\n"
+	sorted := make([]string, 0, len(lines))
+	for l := range lines {
+		sorted = append(sorted, l)
+	}
+	sort.Strings(sorted)
+	got := strings.Join(sorted, "\n") + "\n"
 	if update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -77,17 +64,13 @@ func Golden(t *testing.T, path string, update bool, parse func(string) (string, 
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if got == string(want) {
-		return
-	}
-	wantLines := map[string]bool{}
 	for _, l := range strings.Split(string(want), "\n") {
-		wantLines[l] = true
+		delete(lines, l)
 	}
-	for _, l := range lines {
-		if !wantLines[l] {
-			t.Errorf("not in %s: %s", path, l)
-		}
+	for l := range lines {
+		t.Errorf("not in %s: %s", path, l)
 	}
-	t.Fatalf("%s differs (run with -update to rewrite it)", path)
+	if got != string(want) {
+		t.Fatalf("%s differs (run with -update to rewrite it)", path)
+	}
 }

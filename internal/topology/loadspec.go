@@ -3,12 +3,14 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/kv"
 	"repro/internal/sim"
+	"repro/internal/watch"
 )
 
 // LoadSpec is the declarative cluster-load specification driving the
@@ -73,8 +75,9 @@ type LoadSpec struct {
 	Outages []OutageSpec
 
 	// Alert is the burn-rate rule the SLO watchdog evaluates (alert
-	// section); required when Autoscale is set.
-	Alert *AlertSpec
+	// section, in watch.RuleFields syntax, named "slo-burn"); required
+	// when Autoscale is set.
+	Alert *watch.Rule
 	// Autoscale bounds the replica autoscaler (autoscale section).
 	Autoscale *AutoscaleSpec
 }
@@ -100,13 +103,6 @@ type OutageSpec struct {
 	At, For sim.Time
 }
 
-// AlertSpec is the burn-rate rule in watch.Rule shape.
-type AlertSpec struct {
-	Budget     float64
-	Fast, Slow sim.Time
-	Burn       float64
-}
-
 // AutoscaleSpec bounds the replica autoscaler. Min 0 means "the
 // initial server count"; Max must fit at least Min.
 type AutoscaleSpec struct {
@@ -120,6 +116,9 @@ const (
 	DefaultSpacing  = 500 * sim.Millisecond
 	DefaultDuration = 10 * sim.Second
 	DefaultDrain    = 2 * sim.Second
+
+	// alertRuleName names the alert section's rule.
+	alertRuleName = "slo-burn"
 )
 
 // withDefaults fills unset fields with the documented defaults.
@@ -190,6 +189,9 @@ func (s LoadSpec) withDefaults() LoadSpec {
 		if cp.Burn == 0 {
 			cp.Burn = 3
 		}
+		if cp.Name == "" {
+			cp.Name = alertRuleName
+		}
 		s.Alert = &cp
 	}
 	if as := s.Autoscale; as != nil {
@@ -221,15 +223,6 @@ var (
 	specStrategies = []string{"vanilla", "ple", "relaxed-co", "irs"}
 )
 
-func oneOf(v string, allowed []string) bool {
-	for _, a := range allowed {
-		if v == a {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate rejects incoherent specs: impossible shapes, out-of-range
 // knobs, outages aimed at zones that do not exist, ramps that go
 // backwards, or an autoscaler with no alert rule to react to.
@@ -237,10 +230,10 @@ func (s LoadSpec) Validate() error {
 	if s.Zones <= 0 || s.HostsPerZone <= 0 || s.PCPUs <= 0 {
 		return fmt.Errorf("topology: spec needs positive zones×hosts×pcpus (got %d×%d×%d)", s.Zones, s.HostsPerZone, s.PCPUs)
 	}
-	if !oneOf(s.Policy, specPolicies) {
+	if !slices.Contains(specPolicies, s.Policy) {
 		return fmt.Errorf("topology: spec policy %q not in %v", s.Policy, specPolicies)
 	}
-	if !oneOf(s.Strategy, specStrategies) {
+	if !slices.Contains(specStrategies, s.Strategy) {
 		return fmt.Errorf("topology: spec strategy %q not in %v", s.Strategy, specStrategies)
 	}
 	if !(s.Overcommit > 0) || math.IsInf(s.Overcommit, 0) {
@@ -294,14 +287,8 @@ func (s LoadSpec) Validate() error {
 		}
 	}
 	if a := s.Alert; a != nil {
-		if !(a.Budget > 0 && a.Budget < 1) {
-			return fmt.Errorf("topology: alert budget %v outside (0, 1)", a.Budget)
-		}
-		if a.Fast <= 0 || a.Slow < a.Fast {
-			return fmt.Errorf("topology: alert windows fast=%v slow=%v incoherent", a.Fast, a.Slow)
-		}
-		if !(a.Burn > 0) || math.IsInf(a.Burn, 0) {
-			return fmt.Errorf("topology: alert burn %v not a positive finite number", a.Burn)
+		if err := a.Validate(); err != nil {
+			return fmt.Errorf("topology: alert: %v", err)
 		}
 	}
 	if as := s.Autoscale; as != nil {
@@ -359,87 +346,106 @@ func (s LoadSpec) Stages() []Stage {
 	return out
 }
 
-// fmtDur renders a sim.Time in the Go duration syntax ParseLoadSpec
-// reads back.
-func fmtDur(t sim.Time) string { return time.Duration(t).String() }
-
-func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+// The section grammars. Every field renders, so String spells out the
+// defaults a spec ran with.
+var (
+	topoFields = kv.Full(
+		kv.PosInt("zones", func(s *LoadSpec) *int { return &s.Zones }),
+		kv.PosInt("hosts", func(s *LoadSpec) *int { return &s.HostsPerZone }),
+		kv.PosInt("pcpus", func(s *LoadSpec) *int { return &s.PCPUs }),
+	)
+	schedFields = kv.Full(
+		kv.Str("policy", func(s *LoadSpec) *string { return &s.Policy }),
+		kv.Str("strategy", func(s *LoadSpec) *string { return &s.Strategy }),
+		kv.Float("overcommit", func(s *LoadSpec) *float64 { return &s.Overcommit }),
+		kv.OnOff("migrate", func(s *LoadSpec) *bool { return &s.Migrate }),
+	)
+	loadFields = kv.Full(
+		kv.Dur("arrival", func(s *LoadSpec) *sim.Time { return &s.Arrival }),
+		kv.Dur("service", func(s *LoadSpec) *sim.Time { return &s.Service }),
+		kv.Dur("slo", func(s *LoadSpec) *sim.Time { return &s.SLO }),
+		kv.Dur("duration", func(s *LoadSpec) *sim.Time { return &s.Duration }),
+		kv.Dur("drain", func(s *LoadSpec) *sim.Time { return &s.Drain }),
+	)
+	diurnalFields = kv.Full(
+		kv.Dur("period", func(d *DiurnalSpec) *sim.Time { return &d.Period }),
+		kv.Float("swing", func(d *DiurnalSpec) *float64 { return &d.Swing }),
+		kv.Int("steps", func(d *DiurnalSpec) *int { return &d.Steps }),
+	)
+	tenantFields = kv.Full(
+		kv.PosInt("servers", func(s *LoadSpec) *int { return &s.ServersPerZone }),
+		kv.Int("server-vcpus", func(s *LoadSpec) *int { return &s.ServerVCPUs }),
+		kv.Int("server-threads", func(s *LoadSpec) *int { return &s.ServerThreads }),
+		kv.Int("ants", func(s *LoadSpec) *int { return &s.AntsPerZone }),
+		kv.Int("ant-vcpus", func(s *LoadSpec) *int { return &s.AntVCPUs }),
+		kv.Dur("spacing", func(s *LoadSpec) *sim.Time { return &s.Spacing }),
+	)
+	outageFields = kv.Full(
+		kv.Int("zone", func(o *OutageSpec) *int { return &o.Zone }),
+		kv.Dur("at", func(o *OutageSpec) *sim.Time { return &o.At }),
+		kv.Dur("for", func(o *OutageSpec) *sim.Time { return &o.For }),
+	)
+	autoscaleFields = kv.Full(
+		kv.Int("min", func(a *AutoscaleSpec) *int { return &a.Min }),
+		kv.Int("max", func(a *AutoscaleSpec) *int { return &a.Max }),
+		kv.Int("step", func(a *AutoscaleSpec) *int { return &a.Step }),
+		kv.Dur("cooldown", func(a *AutoscaleSpec) *sim.Time { return &a.Cooldown }),
+		kv.Dur("down-after", func(a *AutoscaleSpec) *sim.Time { return &a.DownAfter }),
+		kv.Dur("interval", func(a *AutoscaleSpec) *sim.Time { return &a.Interval }),
+	)
+)
 
 // String renders the spec in the exact syntax ParseLoadSpec accepts,
 // with every field explicit; ParseLoadSpec(s.String()) round-trips to
 // an equal spec.
 func (s LoadSpec) String() string {
 	s = s.withDefaults()
-	var b strings.Builder
-	fmt.Fprintf(&b, "topo:zones=%d,hosts=%d,pcpus=%d", s.Zones, s.HostsPerZone, s.PCPUs)
-	fmt.Fprintf(&b, "; sched:policy=%s,strategy=%s,overcommit=%s,migrate=%s",
-		s.Policy, s.Strategy, fmtFloat(s.Overcommit), onOff(s.Migrate))
-	fmt.Fprintf(&b, "; load:arrival=%s,service=%s,slo=%s,duration=%s,drain=%s",
-		fmtDur(s.Arrival), fmtDur(s.Service), fmtDur(s.SLO), fmtDur(s.Duration), fmtDur(s.Drain))
+	parts := []string{
+		"topo:" + topoFields.Format(&s),
+		"sched:" + schedFields.Format(&s),
+		"load:" + loadFields.Format(&s),
+	}
 	if len(s.Ramp) > 0 {
-		parts := make([]string, len(s.Ramp))
+		stages := make([]string, len(s.Ramp))
 		for i, st := range s.Ramp {
-			parts[i] = fmtDur(st.Arrival) + "@" + fmtDur(st.At)
+			stages[i] = st.Arrival.Std().String() + "@" + st.At.Std().String()
 		}
-		fmt.Fprintf(&b, "; ramp:%s", strings.Join(parts, ","))
+		parts = append(parts, "ramp:"+strings.Join(stages, ","))
 	}
-	if d := s.Diurnal; d != nil {
-		fmt.Fprintf(&b, "; diurnal:period=%s,swing=%s,steps=%d", fmtDur(d.Period), fmtFloat(d.Swing), d.Steps)
+	if s.Diurnal != nil {
+		parts = append(parts, "diurnal:"+diurnalFields.Format(s.Diurnal))
 	}
-	fmt.Fprintf(&b, "; tenants:servers=%d,server-vcpus=%d,server-threads=%d,ants=%d,ant-vcpus=%d,spacing=%s",
-		s.ServersPerZone, s.ServerVCPUs, s.ServerThreads, s.AntsPerZone, s.AntVCPUs, fmtDur(s.Spacing))
-	for _, o := range s.Outages {
-		fmt.Fprintf(&b, "; outage:zone=%d,at=%s,for=%s", o.Zone, fmtDur(o.At), fmtDur(o.For))
+	parts = append(parts, "tenants:"+tenantFields.Format(&s))
+	for i := range s.Outages {
+		parts = append(parts, "outage:"+outageFields.Format(&s.Outages[i]))
 	}
-	if a := s.Alert; a != nil {
-		fmt.Fprintf(&b, "; alert:budget=%s,fast=%s,slow=%s,burn=%s",
-			fmtFloat(a.Budget), fmtDur(a.Fast), fmtDur(a.Slow), fmtFloat(a.Burn))
+	if s.Alert != nil {
+		parts = append(parts, "alert:"+watch.RuleFields.Format(s.Alert))
 	}
-	if as := s.Autoscale; as != nil {
-		fmt.Fprintf(&b, "; autoscale:min=%d,max=%d,step=%d,cooldown=%s,down-after=%s,interval=%s",
-			as.Min, as.Max, as.Step, fmtDur(as.Cooldown), fmtDur(as.DownAfter), fmtDur(as.Interval))
+	if s.Autoscale != nil {
+		parts = append(parts, "autoscale:"+autoscaleFields.Format(s.Autoscale))
 	}
-	return b.String()
+	return strings.Join(parts, "; ")
 }
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
-// fieldParser decodes one key=value pair into the spec under
-// construction.
-type fieldParser func(s *LoadSpec, key, val string) (bool, error)
 
 // ParseLoadSpec parses a declarative cluster-load spec (see the
 // LoadSpec syntax above), applies defaults to omitted fields, and
 // validates the result.
 func ParseLoadSpec(text string) (LoadSpec, error) {
+	secs, err := kv.Sections(text)
+	if err != nil {
+		return LoadSpec{}, fmt.Errorf("topology: %v", err)
+	}
 	var s LoadSpec
-	seen := map[string]bool{}
-	for _, line := range strings.Split(text, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		for _, sec := range strings.Split(line, ";") {
-			sec = strings.TrimSpace(sec)
-			if sec == "" {
-				continue
-			}
-			name, rest, ok := strings.Cut(sec, ":")
-			if !ok {
-				return LoadSpec{}, fmt.Errorf("topology: section %q is not name:key=value,...", sec)
-			}
-			name = strings.ToLower(strings.TrimSpace(name))
-			if name != "outage" && seen[name] {
+	for i, sec := range secs {
+		name := strings.ToLower(sec.Name)
+		for _, prev := range secs[:i] {
+			if name != "outage" && strings.EqualFold(prev.Name, name) {
 				return LoadSpec{}, fmt.Errorf("topology: duplicate section %q", name)
 			}
-			seen[name] = true
-			if err := parseSection(&s, name, rest); err != nil {
-				return LoadSpec{}, err
-			}
+		}
+		if err := parseSection(&s, name, sec.Body); err != nil {
+			return LoadSpec{}, fmt.Errorf("topology: %s: %v", name, err)
 		}
 	}
 	s = s.withDefaults()
@@ -449,291 +455,48 @@ func ParseLoadSpec(text string) (LoadSpec, error) {
 	return s, nil
 }
 
-// parseSection dispatches one section body.
+// parseSection parses one section body into s.
 func parseSection(s *LoadSpec, name, body string) error {
 	switch name {
 	case "topo":
-		return parseFields(s, name, body, parseTopoField)
+		return topoFields.Parse(s, body)
 	case "sched":
-		return parseFields(s, name, body, parseSchedField)
+		return schedFields.Parse(s, body)
 	case "load":
-		return parseFields(s, name, body, parseLoadField)
+		return loadFields.Parse(s, body)
 	case "ramp":
-		return parseRamp(s, body)
+		ramp, err := kv.List(body, parseStage)
+		sort.SliceStable(ramp, func(a, b int) bool { return ramp[a].At < ramp[b].At })
+		s.Ramp = ramp
+		return err
 	case "diurnal":
 		s.Diurnal = &DiurnalSpec{}
-		return parseFields(s, name, body, parseDiurnalField)
+		return diurnalFields.Parse(s.Diurnal, body)
 	case "tenants":
-		return parseFields(s, name, body, parseTenantsField)
+		return tenantFields.Parse(s, body)
 	case "outage":
 		s.Outages = append(s.Outages, OutageSpec{Zone: -1})
-		return parseFields(s, name, body, parseOutageField)
+		return outageFields.Parse(&s.Outages[len(s.Outages)-1], body)
 	case "alert":
-		s.Alert = &AlertSpec{}
-		return parseFields(s, name, body, parseAlertField)
+		s.Alert = &watch.Rule{}
+		return watch.RuleFields.Parse(s.Alert, body)
 	case "autoscale":
 		s.Autoscale = &AutoscaleSpec{}
-		return parseFields(s, name, body, parseAutoscaleField)
-	default:
-		return fmt.Errorf("topology: unknown section %q", name)
+		return autoscaleFields.Parse(s.Autoscale, body)
 	}
+	return fmt.Errorf("unknown section")
 }
 
-// parseFields walks a comma-separated key=value list, rejecting
-// duplicates and unknown keys.
-func parseFields(s *LoadSpec, section, body string, fp fieldParser) error {
-	seen := map[string]bool{}
-	for _, field := range strings.Split(body, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			return fmt.Errorf("topology: %s: empty field", section)
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return fmt.Errorf("topology: %s: field %q is not key=value", section, field)
-		}
-		key, val = strings.ToLower(strings.TrimSpace(key)), strings.TrimSpace(val)
-		if seen[key] {
-			return fmt.Errorf("topology: %s: duplicate field %q", section, key)
-		}
-		seen[key] = true
-		known, err := fp(s, key, val)
-		if err != nil {
-			return fmt.Errorf("topology: %s: %s: %v", section, key, err)
-		}
-		if !known {
-			return fmt.Errorf("topology: %s: unknown field %q", section, key)
-		}
+// parseStage reads one "arrival@at" ramp stage.
+func parseStage(stage string) (Stage, error) {
+	arr, at, ok := strings.Cut(stage, "@")
+	if !ok {
+		return Stage{}, fmt.Errorf("stage %q is not arrival@at", stage)
 	}
-	return nil
-}
-
-func parseInt(val string) (int, error) {
-	n, err := strconv.Atoi(val)
+	a, err := time.ParseDuration(strings.TrimSpace(arr))
 	if err != nil {
-		return 0, err
+		return Stage{}, err
 	}
-	return n, nil
-}
-
-func parseDur(val string) (sim.Time, error) {
-	d, err := time.ParseDuration(val)
-	if err != nil {
-		return 0, err
-	}
-	return sim.Time(d), nil
-}
-
-func parseOnOff(val string) (bool, error) {
-	switch strings.ToLower(val) {
-	case "on", "true", "yes", "1":
-		return true, nil
-	case "off", "false", "no", "0":
-		return false, nil
-	}
-	return false, fmt.Errorf("want on/off, got %q", val)
-}
-
-func parseTopoField(s *LoadSpec, key, val string) (bool, error) {
-	n, err := parseInt(val)
-	switch key {
-	case "zones":
-		s.Zones = n
-	case "hosts":
-		s.HostsPerZone = n
-	case "pcpus":
-		s.PCPUs = n
-	default:
-		return false, nil
-	}
-	if err == nil && n <= 0 {
-		// An explicit non-positive dimension is an error, not a request
-		// for the default (which withDefaults would silently apply).
-		return true, fmt.Errorf("%s must be positive, got %d", key, n)
-	}
-	return true, err
-}
-
-func parseSchedField(s *LoadSpec, key, val string) (bool, error) {
-	switch key {
-	case "policy":
-		s.Policy = strings.ToLower(val)
-	case "strategy":
-		s.Strategy = strings.ToLower(val)
-	case "overcommit":
-		f, err := strconv.ParseFloat(val, 64)
-		s.Overcommit = f
-		return true, err
-	case "migrate":
-		b, err := parseOnOff(val)
-		s.Migrate = b
-		return true, err
-	default:
-		return false, nil
-	}
-	return true, nil
-}
-
-func parseLoadField(s *LoadSpec, key, val string) (bool, error) {
-	d, err := parseDur(val)
-	switch key {
-	case "arrival":
-		s.Arrival = d
-	case "service":
-		s.Service = d
-	case "slo":
-		s.SLO = d
-	case "duration":
-		s.Duration = d
-	case "drain":
-		s.Drain = d
-	default:
-		return false, nil
-	}
-	return true, err
-}
-
-// parseRamp reads the "arrival@at,arrival@at,..." stage list.
-func parseRamp(s *LoadSpec, body string) error {
-	for _, part := range strings.Split(body, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return fmt.Errorf("topology: ramp: empty stage")
-		}
-		arrS, atS, ok := strings.Cut(part, "@")
-		if !ok {
-			return fmt.Errorf("topology: ramp: stage %q is not arrival@at", part)
-		}
-		arr, err := parseDur(strings.TrimSpace(arrS))
-		if err != nil {
-			return fmt.Errorf("topology: ramp: %q: %v", part, err)
-		}
-		at, err := parseDur(strings.TrimSpace(atS))
-		if err != nil {
-			return fmt.Errorf("topology: ramp: %q: %v", part, err)
-		}
-		s.Ramp = append(s.Ramp, Stage{Arrival: arr, At: at})
-	}
-	sort.SliceStable(s.Ramp, func(a, b int) bool { return s.Ramp[a].At < s.Ramp[b].At })
-	return nil
-}
-
-func parseDiurnalField(s *LoadSpec, key, val string) (bool, error) {
-	d := s.Diurnal
-	switch key {
-	case "period":
-		t, err := parseDur(val)
-		d.Period = t
-		return true, err
-	case "swing":
-		f, err := strconv.ParseFloat(val, 64)
-		d.Swing = f
-		return true, err
-	case "steps":
-		n, err := parseInt(val)
-		d.Steps = n
-		return true, err
-	}
-	return false, nil
-}
-
-func parseTenantsField(s *LoadSpec, key, val string) (bool, error) {
-	switch key {
-	case "spacing":
-		d, err := parseDur(val)
-		s.Spacing = d
-		return true, err
-	}
-	n, err := parseInt(val)
-	switch key {
-	case "servers":
-		if err == nil && n <= 0 {
-			// 0 would be indistinguishable from "defaulted" — and a
-			// spec with no server VMs has nothing to route to anyway.
-			return true, fmt.Errorf("spec places no server VMs (servers=%d)", n)
-		}
-		s.ServersPerZone = n
-	case "server-vcpus":
-		s.ServerVCPUs = n
-	case "server-threads":
-		s.ServerThreads = n
-	case "ants":
-		s.AntsPerZone = n
-	case "ant-vcpus":
-		s.AntVCPUs = n
-	default:
-		return false, nil
-	}
-	return true, err
-}
-
-func parseOutageField(s *LoadSpec, key, val string) (bool, error) {
-	o := &s.Outages[len(s.Outages)-1]
-	switch key {
-	case "zone":
-		n, err := parseInt(val)
-		o.Zone = n
-		return true, err
-	case "at":
-		d, err := parseDur(val)
-		o.At = d
-		return true, err
-	case "for":
-		d, err := parseDur(val)
-		o.For = d
-		return true, err
-	}
-	return false, nil
-}
-
-func parseAlertField(s *LoadSpec, key, val string) (bool, error) {
-	a := s.Alert
-	switch key {
-	case "budget", "burn":
-		f, err := strconv.ParseFloat(val, 64)
-		if key == "budget" {
-			a.Budget = f
-		} else {
-			a.Burn = f
-		}
-		return true, err
-	case "fast", "slow":
-		d, err := parseDur(val)
-		if key == "fast" {
-			a.Fast = d
-		} else {
-			a.Slow = d
-		}
-		return true, err
-	}
-	return false, nil
-}
-
-func parseAutoscaleField(s *LoadSpec, key, val string) (bool, error) {
-	as := s.Autoscale
-	switch key {
-	case "min", "max", "step":
-		n, err := parseInt(val)
-		switch key {
-		case "min":
-			as.Min = n
-		case "max":
-			as.Max = n
-		default:
-			as.Step = n
-		}
-		return true, err
-	case "cooldown", "down-after", "interval":
-		d, err := parseDur(val)
-		switch key {
-		case "cooldown":
-			as.Cooldown = d
-		case "down-after":
-			as.DownAfter = d
-		default:
-			as.Interval = d
-		}
-		return true, err
-	}
-	return false, nil
+	t, err := time.ParseDuration(strings.TrimSpace(at))
+	return Stage{Arrival: sim.Time(a), At: sim.Time(t)}, err
 }

@@ -97,8 +97,8 @@ func TestParseLoadSpecErrors(t *testing.T) {
 		{"diurnal-swing", "diurnal:period=2s,swing=1.5", "swing"},
 		{"autoscale-sans-alert", "autoscale:max=8", "needs an alert"},
 		{"autoscale-max-low", "alert:budget=0.02; autoscale:min=4,max=2", "below floor"},
-		{"alert-windows", "alert:fast=2s,slow=1s", "incoherent"},
-		{"no-servers", "tenants:servers=0,ants=1", "no server VMs"},
+		{"alert-windows", "alert:fast=2s,slow=1s", "shorter than fast"},
+		{"no-servers", "tenants:servers=0,ants=1", "servers: must be positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

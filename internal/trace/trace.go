@@ -12,6 +12,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/kv"
 	"repro/internal/sim"
 )
 
@@ -68,28 +69,26 @@ func KindNames() []string {
 }
 
 // ParseKinds parses a comma-separated kind filter such as "sa,migrate".
-// An empty string means no filter and returns nil. Unknown names are an
-// error (naming the offender and the valid set) instead of silently
-// matching nothing.
+// An empty string means no filter and returns nil. Unknown names and
+// empty elements are an error (naming the offender and the valid set)
+// instead of silently matching nothing.
 func ParseKinds(arg string) (map[Kind]bool, error) {
 	if strings.TrimSpace(arg) == "" {
 		return nil, nil
 	}
-	m := map[Kind]bool{}
-	for _, part := range strings.Split(arg, ",") {
-		name := strings.TrimSpace(part)
-		if name == "" {
-			continue
-		}
+	kinds, err := kv.List(arg, func(name string) (Kind, error) {
 		k, ok := kindNames[name]
 		if !ok {
-			return nil, fmt.Errorf("trace: unknown event kind %q (valid: %s)",
-				name, strings.Join(KindNames(), ", "))
+			return 0, fmt.Errorf("unknown event kind %q", name)
 		}
-		m[k] = true
+		return k, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("trace: %v (valid: %s)", err, strings.Join(KindNames(), ", "))
 	}
-	if len(m) == 0 {
-		return nil, nil
+	m := make(map[Kind]bool, len(kinds))
+	for _, k := range kinds {
+		m[k] = true
 	}
 	return m, nil
 }

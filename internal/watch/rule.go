@@ -2,10 +2,11 @@ package watch
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 	"time"
 
+	"repro/internal/kv"
 	"repro/internal/sim"
 )
 
@@ -38,17 +39,21 @@ const (
 	DefaultBurn       = 2.0
 )
 
+// RuleFields is the rule grammar after the "name:" head: budget and
+// burn as floats, fast and slow as Go durations ("500ms", "2s"). The
+// render lists every field. Load specs reuse it for their alert
+// section.
+var RuleFields = kv.Full(
+	kv.Float("budget", func(r *Rule) *float64 { return &r.Budget }),
+	kv.Dur("fast", func(r *Rule) *sim.Time { return &r.Fast }),
+	kv.Dur("slow", func(r *Rule) *sim.Time { return &r.Slow }),
+	kv.Float("burn", func(r *Rule) *float64 { return &r.Burn }),
+)
+
 // String renders the rule in the exact syntax ParseRule accepts, with
 // every field explicit: "name:budget=0.02,fast=500ms,slow=2s,burn=4".
 // ParseRule(r.String()) round-trips to an equal rule.
-func (r Rule) String() string {
-	return fmt.Sprintf("%s:budget=%s,fast=%s,slow=%s,burn=%s",
-		r.Name,
-		strconv.FormatFloat(r.Budget, 'g', -1, 64),
-		time.Duration(r.Fast),
-		time.Duration(r.Slow),
-		strconv.FormatFloat(r.Burn, 'g', -1, 64))
-}
+func (r Rule) String() string { return r.Name + ":" + RuleFields.Format(&r) }
 
 // Validate reports whether the rule's fields are coherent.
 func (r Rule) Validate() error {
@@ -67,8 +72,8 @@ func (r Rule) Validate() error {
 	if r.Slow < r.Fast {
 		return fmt.Errorf("watch: rule %s: slow window %v shorter than fast %v", r.Name, r.Slow, r.Fast)
 	}
-	if !(r.Burn > 0) {
-		return fmt.Errorf("watch: rule %s: burn threshold %v not positive", r.Name, r.Burn)
+	if !(r.Burn > 0) || math.IsInf(r.Burn, 0) {
+		return fmt.Errorf("watch: rule %s: burn threshold %v not a positive finite number", r.Name, r.Burn)
 	}
 	return nil
 }
@@ -77,63 +82,22 @@ func (r Rule) Validate() error {
 //
 //	name:budget=0.02[,fast=500ms][,slow=2s][,burn=4]
 //
-// budget is required; fast, slow and burn fall back to
-// DefaultFastWindow/DefaultSlowWindow/DefaultBurn. Durations use Go
-// syntax ("500ms", "2s"). Whitespace around the rule is ignored.
+// (see RuleFields). budget is required (Validate rejects the unset 0);
+// fast, slow and burn fall back
+// to DefaultFastWindow/DefaultSlowWindow/DefaultBurn. Whitespace
+// around the rule is ignored.
 func ParseRule(s string) (Rule, error) {
-	s = strings.TrimSpace(s)
-	name, rest, ok := strings.Cut(s, ":")
-	if !ok {
-		return Rule{}, fmt.Errorf("watch: rule %q: want name:key=value,...", s)
+	sec, err := kv.Head(s)
+	if err != nil {
+		return Rule{}, fmt.Errorf("watch: rule: %v", err)
 	}
-	r := Rule{
-		Name: strings.TrimSpace(name),
-		Fast: DefaultFastWindow,
-		Slow: DefaultSlowWindow,
-		Burn: DefaultBurn,
-	}
-	seen := map[string]bool{}
-	for _, field := range strings.Split(rest, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			return Rule{}, fmt.Errorf("watch: rule %q: empty field", s)
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return Rule{}, fmt.Errorf("watch: rule %q: field %q is not key=value", s, field)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if seen[key] {
-			return Rule{}, fmt.Errorf("watch: rule %q: duplicate field %q", s, key)
-		}
-		seen[key] = true
-		switch key {
-		case "budget", "burn":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Rule{}, fmt.Errorf("watch: rule %q: %s: %v", s, key, err)
-			}
-			if key == "budget" {
-				r.Budget = f
-			} else {
-				r.Burn = f
-			}
-		case "fast", "slow":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return Rule{}, fmt.Errorf("watch: rule %q: %s: %v", s, key, err)
-			}
-			if key == "fast" {
-				r.Fast = sim.Time(d)
-			} else {
-				r.Slow = sim.Time(d)
-			}
-		default:
-			return Rule{}, fmt.Errorf("watch: rule %q: unknown field %q", s, key)
-		}
-	}
-	if !seen["budget"] {
-		return Rule{}, fmt.Errorf("watch: rule %q: budget is required", s)
+	return parseRule(sec)
+}
+
+func parseRule(sec kv.Section) (Rule, error) {
+	r := Rule{Name: sec.Name, Fast: DefaultFastWindow, Slow: DefaultSlowWindow, Burn: DefaultBurn}
+	if err := RuleFields.Parse(&r, sec.Body); err != nil {
+		return Rule{}, fmt.Errorf("watch: rule %q: %v", r.Name, err)
 	}
 	if err := r.Validate(); err != nil {
 		return Rule{}, err
@@ -141,23 +105,25 @@ func ParseRule(s string) (Rule, error) {
 	return r, nil
 }
 
-// ParseRules parses a semicolon-separated rule list. Empty segments
-// (a trailing ";") are skipped; rule names must be unique.
+// ParseRules parses a rule list, one rule per section: ';' or newlines
+// separate rules, '#' starts a comment, and blank sections (a trailing
+// ";") are skipped. Rule names must be unique.
 func ParseRules(s string) ([]Rule, error) {
-	var out []Rule
-	names := map[string]bool{}
-	for _, seg := range strings.Split(s, ";") {
-		if strings.TrimSpace(seg) == "" {
-			continue
-		}
-		r, err := ParseRule(seg)
+	secs, err := kv.Sections(s)
+	if err != nil {
+		return nil, fmt.Errorf("watch: rule: %v", err)
+	}
+	out := make([]Rule, 0, len(secs))
+	for _, sec := range secs {
+		r, err := parseRule(sec)
 		if err != nil {
 			return nil, err
 		}
-		if names[r.Name] {
-			return nil, fmt.Errorf("watch: duplicate rule name %q", r.Name)
+		for _, prev := range out {
+			if prev.Name == r.Name {
+				return nil, fmt.Errorf("watch: duplicate rule name %q", r.Name)
+			}
 		}
-		names[r.Name] = true
 		out = append(out, r)
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -45,11 +46,21 @@ func TestParseRuleErrors(t *testing.T) {
 		"x:budget=0.1,fast=xyz",        // bad duration
 		"x:budget=0.1,",                // empty field
 		"a b:budget=0.1",               // reserved char in name
+		"x:budget=0.1,burn=+Inf",       // burn not finite
 	}
 	for _, c := range cases {
 		if _, err := ParseRule(c); err == nil {
 			t.Errorf("ParseRule(%q) accepted invalid input", c)
 		}
+	}
+}
+
+// TestValidateRejectsInfiniteBurn covers rules built in code, which
+// never pass through the field parser's finiteness check.
+func TestValidateRejectsInfiniteBurn(t *testing.T) {
+	r := Rule{Name: "x", Budget: 0.1, Fast: sim.Second, Slow: sim.Second, Burn: math.Inf(1)}
+	if err := r.Validate(); err == nil {
+		t.Fatal("Validate accepted burn=+Inf")
 	}
 }
 
@@ -97,6 +108,7 @@ var ruleSeeds = []string{
 	"x:budget=0.1,fast=-1s",
 	"x:budget=NaN",
 	"x:budget=0.1,slow=1h,fast=59m59s",
+	"x:budget=0.1,burn=+Inf",
 }
 
 // FuzzParseRule drives the parser with arbitrary input; whatever

@@ -2,11 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/guest"
+	"repro/internal/kv"
 	"repro/internal/sim"
 )
 
@@ -141,7 +140,7 @@ func (s AttackSpec) Validate() error {
 	if s.Threads < 0 {
 		return fmt.Errorf("workload: attack threads=%d negative", s.Threads)
 	}
-	if s.Jitter < 0 || s.Jitter >= 1 {
+	if !(s.Jitter >= 0 && s.Jitter < 1) {
 		return fmt.Errorf("workload: attack jitter=%v outside [0, 1)", s.Jitter)
 	}
 	d := s.withDefaults()
@@ -152,6 +151,19 @@ func (s AttackSpec) Validate() error {
 	return nil
 }
 
+// attackFields is the attacker grammar after the kind: period, margin,
+// resume, run and sleep as Go durations, threads as an int, jitter as
+// a float in [0,1). The render omits zero (defaulted) fields.
+var attackFields = kv.Sparse(
+	kv.Dur("period", func(s *AttackSpec) *sim.Time { return &s.Period }),
+	kv.Dur("margin", func(s *AttackSpec) *sim.Time { return &s.Margin }),
+	kv.Dur("resume", func(s *AttackSpec) *sim.Time { return &s.Resume }),
+	kv.Dur("run", func(s *AttackSpec) *sim.Time { return &s.Run }),
+	kv.Dur("sleep", func(s *AttackSpec) *sim.Time { return &s.Sleep }),
+	kv.Int("threads", func(s *AttackSpec) *int { return &s.Threads }),
+	kv.Float("jitter", func(s *AttackSpec) *float64 { return &s.Jitter }),
+)
+
 // String renders the spec as a canonical string ParseAttack accepts:
 // the kind followed by comma-separated key=value pairs in fixed order,
 // zero (defaulted) fields omitted. The zero spec renders as "none".
@@ -159,31 +171,16 @@ func (s AttackSpec) String() string {
 	if s.Kind == AttackNone {
 		return "none"
 	}
-	parts := []string{s.Kind.String()}
-	dur := func(key string, v sim.Time) {
-		if v != 0 {
-			parts = append(parts, key+"="+v.Std().String())
-		}
+	if fields := attackFields.Format(&s); fields != "" {
+		return s.Kind.String() + "," + fields
 	}
-	dur("period", s.Period)
-	dur("margin", s.Margin)
-	dur("resume", s.Resume)
-	dur("run", s.Run)
-	dur("sleep", s.Sleep)
-	if s.Threads != 0 {
-		parts = append(parts, "threads="+strconv.Itoa(s.Threads))
-	}
-	if s.Jitter != 0 {
-		parts = append(parts, "jitter="+strconv.FormatFloat(s.Jitter, 'g', -1, 64))
-	}
-	return strings.Join(parts, ",")
+	return s.Kind.String()
 }
 
 // ParseAttack parses an attacker spec: a kind ("tick-evade" or
 // "boost-game") optionally followed by comma-separated key=value pairs
-// (period, margin, resume, run, sleep as Go durations; threads as an
-// int; jitter as a float in [0,1)). "", "none" and "off" parse as the
-// zero spec. The result of AttackSpec.String always round-trips.
+// (see attackFields). "", "none" and "off" parse as the zero spec. The
+// result of AttackSpec.String always round-trips.
 func ParseAttack(spec string) (AttackSpec, error) {
 	var s AttackSpec
 	spec = strings.TrimSpace(spec)
@@ -191,59 +188,19 @@ func ParseAttack(spec string) (AttackSpec, error) {
 	case "", "none", "off":
 		return s, nil
 	}
-	fields := strings.Split(spec, ",")
-	switch strings.ToLower(strings.TrimSpace(fields[0])) {
+	kind, fields, hasFields := strings.Cut(spec, ",")
+	kind = strings.TrimSpace(kind)
+	switch strings.ToLower(kind) {
 	case "tick-evade":
 		s.Kind = AttackTickEvade
 	case "boost-game":
 		s.Kind = AttackBoostGame
 	default:
-		return AttackSpec{}, fmt.Errorf("workload: unknown attack kind %q (want tick-evade or boost-game)", strings.TrimSpace(fields[0]))
+		return AttackSpec{}, fmt.Errorf("workload: unknown attack kind %q (want tick-evade or boost-game)", kind)
 	}
-	durFields := map[string]*sim.Time{
-		"period": &s.Period,
-		"margin": &s.Margin,
-		"resume": &s.Resume,
-		"run":    &s.Run,
-		"sleep":  &s.Sleep,
-	}
-	seen := map[string]bool{}
-	for _, part := range fields[1:] {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return AttackSpec{}, fmt.Errorf("workload: attack %q is not key=value", part)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		if seen[key] {
-			return AttackSpec{}, fmt.Errorf("workload: duplicate attack key %q", key)
-		}
-		seen[key] = true
-		switch {
-		case durFields[key] != nil:
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return AttackSpec{}, fmt.Errorf("workload: attack %s: %v", key, err)
-			}
-			*durFields[key] = sim.Duration(d)
-		case key == "threads":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return AttackSpec{}, fmt.Errorf("workload: attack threads: %v", err)
-			}
-			s.Threads = n
-		case key == "jitter":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return AttackSpec{}, fmt.Errorf("workload: attack jitter: %v", err)
-			}
-			s.Jitter = f
-		default:
-			return AttackSpec{}, fmt.Errorf("workload: unknown attack key %q", key)
+	if hasFields {
+		if err := attackFields.Parse(&s, fields); err != nil {
+			return AttackSpec{}, fmt.Errorf("workload: attack %v", err)
 		}
 	}
 	if err := s.Validate(); err != nil {

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/guest"
@@ -70,11 +71,21 @@ func TestParseAttackRejectsMalformedSpecs(t *testing.T) {
 		"tick-evade,jitter=1.5",
 		"tick-evade,margin=9ms,resume=2ms", // window swallows the period
 		"boost-game,period=1ms,margin=2ms",
+		"boost-game,jitter=NaN",
 	}
 	for _, spec := range bad {
 		if _, err := workload.ParseAttack(spec); err == nil {
 			t.Errorf("ParseAttack(%q) accepted a malformed spec", spec)
 		}
+	}
+}
+
+// TestAttackValidateRejectsNaNJitter covers specs built in code, which
+// never pass through the field parser's finiteness check.
+func TestAttackValidateRejectsNaNJitter(t *testing.T) {
+	s := workload.AttackSpec{Kind: workload.AttackBoostGame, Jitter: math.NaN()}
+	if err := s.Validate(); err == nil {
+		t.Fatal("Validate accepted jitter=NaN")
 	}
 }
 

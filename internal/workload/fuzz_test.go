@@ -28,6 +28,7 @@ var attackSeeds = []string{
 	"frobnicate",
 	"=,=,=",
 	"tick-evade,period=9223372036854775807ns,margin=1ns",
+	"boost-game,jitter=NaN",
 }
 
 // FuzzParseAttack asserts that arbitrary attacker specs never panic and
