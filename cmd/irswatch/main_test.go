@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -104,5 +106,31 @@ func TestOutputDeterministic(t *testing.T) {
 	}
 	if a, b := render(), render(); a != b {
 		t.Fatalf("same seed diverged:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestBullyBundleDigest pins every byte of the bully scenario's first
+// incident bundle, host event tails included, by SHA-256: the bundle
+// is too large to commit as a golden, and any change to how a host's
+// trailing events or the recent spans are captured shifts a digest.
+func TestBullyBundleDigest(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "incident")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-scenario", "bully", "-dump", prefix}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errb.String())
+	}
+	want := map[string]string{
+		".json":       "2341fdd2118813a5fc4e2b4af8218b0d49ecaba2a8a3a55e0df20a233d166c82",
+		".trace.json": "3d33edfbfe5740858392c93903882797157269d337d22a1c535d336ec9a14f4e",
+	}
+	for suffix, sum := range want {
+		raw, err := os.ReadFile(prefix + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.Sum256(raw)
+		if got := hex.EncodeToString(h[:]); got != sum {
+			t.Errorf("incident%s digest %s, want %s", suffix, got, sum)
+		}
 	}
 }
