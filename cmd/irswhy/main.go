@@ -134,7 +134,7 @@ func recLine(r *decision.Record) string {
 		margin = fmt.Sprintf(" margin=%.3f", m)
 	}
 	return fmt.Sprintf("t=%-9s %-9s %-5s %s -> %s%s  %s",
-		r.At, r.Kind, r.Chooser, r.Subject, r.Winner, margin, r.Detail)
+		r.At, r.Kind, r.Chooser, r.Subject, r.Winner, margin, r.Detail.String())
 }
 
 // printRecs prints up to limit records (0 = all), noting any overflow.

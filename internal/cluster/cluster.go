@@ -29,6 +29,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/decision"
 	"repro/internal/fault"
@@ -317,15 +318,23 @@ type hostOutbox struct {
 // its own forked fault-injector stream, its own invariant checker, and
 // an outbox carrying its observations to the control plane.
 type Host struct {
-	ID  int
-	HV  *hypervisor.Hypervisor
-	Reg *obs.Registry
-	inj *fault.Injector
+	ID   int
+	HV   *hypervisor.Hypervisor
+	Reg  *obs.Registry
+	inj  *fault.Injector
+	name string
 
 	eng     *sim.Engine        // this host's shard engine
 	checker *invariant.Checker // host-local audits (hv + resident kernels)
 	spans   *span.Tracer       // shard-local collector for finished spans
 	outbox  hostOutbox
+
+	// Routed requests in transit to this host, in post order; each
+	// posted deliverFn (bound once) lands the oldest. Pushed on the
+	// control shard, popped on this host's, and posts only land after
+	// a barrier, so the two never overlap.
+	inbound   sim.Queue[delivery]
+	deliverFn func()
 
 	committed int // placed vCPUs (bookkeeping, audited)
 	sensitive int // resident sensitive VMs
@@ -339,7 +348,7 @@ type Host struct {
 }
 
 // Name returns the host identifier, e.g. "host1".
-func (h *Host) Name() string { return fmt.Sprintf("host%d", h.ID) }
+func (h *Host) Name() string { return h.name }
 
 // Committed returns the number of vCPUs placed on the host.
 func (h *Host) Committed() int { return h.committed }
@@ -373,6 +382,9 @@ type VMHandle struct {
 	host      *Host
 	gen       int
 	lastMove  sim.Time
+
+	name    string // instName of generation nameGen
+	nameGen int
 
 	vm   *hypervisor.VM
 	kern *guest.Kernel
@@ -411,12 +423,17 @@ func (hd *VMHandle) Host() *Host { return hd.host }
 func (hd *VMHandle) Migrations() int { return hd.gen }
 
 // instName returns the per-generation instance name, e.g. "srv2#1"
-// after one migration.
+// after one migration. The name is built once per generation: the
+// router and the decision log read it on every request.
 func (hd *VMHandle) instName() string {
 	if hd.gen == 0 {
 		return hd.Spec.Name
 	}
-	return fmt.Sprintf("%s#%d", hd.Spec.Name, hd.gen)
+	if hd.nameGen != hd.gen {
+		hd.name = hd.Spec.Name + "#" + strconv.Itoa(hd.gen)
+		hd.nameGen = hd.gen
+	}
+	return hd.name
 }
 
 // Cluster ties the rack, the placement policy, the router, and the
@@ -439,6 +456,7 @@ type Cluster struct {
 
 	arrivalRNG  *sim.RNG
 	blackoutRNG *sim.RNG
+	arrivalFn   func() // nextArrival, bound once
 
 	stats         *workload.ServerStats
 	generated     int64
@@ -588,7 +606,8 @@ func New(cfg Config) (*Cluster, error) {
 		hc.Metrics = reg
 		hc.Faults = inj
 		hc.Seed = cfg.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15
-		c.decLog.Label(i+1, fmt.Sprintf("host%d", i))
+		name := "host" + strconv.Itoa(i)
+		c.decLog.Label(i+1, name)
 		hc.Decisions = c.decLog.Ring(i + 1)
 		if cfg.TuneHV != nil {
 			cfg.TuneHV(&hc)
@@ -600,12 +619,14 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		eng := sh.Shard(i + 1)
 		host := &Host{
-			ID:  i,
-			HV:  hypervisor.New(eng, hc),
-			Reg: reg,
-			inj: inj,
-			eng: eng,
+			ID:   i,
+			HV:   hypervisor.New(eng, hc),
+			Reg:  reg,
+			inj:  inj,
+			name: name,
+			eng:  eng,
 		}
+		host.deliverFn = func() { c.deliverNext(host) }
 		if cfg.Spans != nil {
 			host.spans = span.NewTracer()
 		}
@@ -696,7 +717,8 @@ func New(cfg Config) (*Cluster, error) {
 	// Cluster-wide request stream (open loop, exponential) on the
 	// control shard.
 	if cfg.Arrival > 0 && cfg.Duration > 0 {
-		c.ctl.After(c.arrivalRNG.Exp(c.arrivalMean(0)), "cluster-arrival", c.nextArrival)
+		c.arrivalFn = c.nextArrival
+		c.ctl.After(c.arrivalRNG.Exp(c.arrivalMean(0)), "cluster-arrival", c.arrivalFn)
 	}
 
 	// Interference monitor (signal refresh + migration trigger): reads

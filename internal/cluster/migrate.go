@@ -1,11 +1,10 @@
 package cluster
 
 import (
-	"fmt"
-
 	"repro/internal/decision"
 	"repro/internal/hypervisor"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Live migration follows the classic pre-copy shape: while the VM keeps
@@ -97,6 +96,9 @@ func (c *Cluster) maybeMigrate() {
 	cap := c.capacity()
 	rec := c.decCtl.Wants(decision.KindMigrate)
 	var cands []decision.Candidate
+	if rec {
+		cands = c.decCtl.Candidates(len(candidates))
+	}
 	var cool *Host
 	var coolScore float64
 	for _, h := range candidates {
@@ -106,9 +108,10 @@ func (c *Cluster) maybeMigrate() {
 		s := c.placementScore(h, victim, cap)
 		if rec {
 			cands = append(cands, decision.Candidate{
-				Name:   h.Name(),
-				Score:  s,
-				Reason: fmt.Sprintf("busy=%.3f intf=%.3f committed=%d", h.busyFrac, h.Interference(), h.committed),
+				Name:  h.Name(),
+				Score: s,
+				Reason: c.decCtl.Text("busy=%.3f intf=%.3f committed=%d",
+					trace.Float(h.busyFrac, 3), trace.Float(h.Interference(), 3), trace.Int(h.committed)),
 			})
 		}
 		if cool == nil || s < coolScore {

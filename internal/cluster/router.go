@@ -54,7 +54,7 @@ func (c *Cluster) nextArrival() {
 	// Admission is where the causal span is born: everything that happens
 	// to the request from here on is somebody's fault.
 	c.route(workload.Request{Arrival: now, Span: c.cfg.Spans.Start(now)})
-	c.ctl.After(c.arrivalRNG.Exp(c.arrivalMean(now)), "cluster-arrival", c.nextArrival)
+	c.ctl.After(c.arrivalRNG.Exp(c.arrivalMean(now)), "cluster-arrival", c.arrivalFn)
 }
 
 // route dispatches one request stamped with its arrival time: pick a
@@ -68,7 +68,7 @@ func (c *Cluster) route(req workload.Request) {
 		zi := topology.RouteZone(c.zoneRoutes())
 		if zi < 0 {
 			if c.decCtl.Wants(decision.KindRoute) {
-				c.recordRouteBuffered(req, "no routable zone")
+				c.recordRouteBuffered(req, "")
 			}
 			c.buffered = append(c.buffered, req)
 			return
@@ -92,7 +92,7 @@ func (c *Cluster) route(req workload.Request) {
 	}
 	if best == nil {
 		if c.decCtl.Wants(decision.KindRoute) {
-			c.recordRouteBuffered(req, "no live replica in "+z.name)
+			c.recordRouteBuffered(req, z.name)
 		}
 		c.buffered = append(c.buffered, req)
 		return
@@ -103,11 +103,26 @@ func (c *Cluster) route(req workload.Request) {
 	z.routed++
 	best.routed++
 	host := best.host
-	gate := best.gate
-	hd := best
-	c.sh.Post(ctlShard, host.ID+1, c.lookahead, "deliver", func() {
-		c.deliverReq(hd, host, gate, req)
-	})
+	host.inbound.Push(delivery{hd: best, gate: best.gate, req: req})
+	c.sh.Post(ctlShard, host.ID+1, c.lookahead, "deliver", host.deliverFn)
+}
+
+// delivery is one routed request in transit to its host, with the
+// replica and gate that were live at routing time.
+type delivery struct {
+	hd   *VMHandle
+	gate *workload.RemoteGate
+	req  workload.Request
+}
+
+// deliverNext lands the oldest request in transit to host. Every
+// delivery to a host is posted from the control shard with the same
+// delay, so the engine runs them in post order — the (time, source
+// shard, post order) key — and each one pops exactly the request its
+// post pushed. Runs on host's shard.
+func (c *Cluster) deliverNext(host *Host) {
+	d := host.inbound.Pop()
+	c.deliverReq(d.hd, host, d.gate, d.req)
 }
 
 // deliverReq lands one routed request on its host shard. The gate is

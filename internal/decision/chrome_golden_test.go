@@ -19,7 +19,7 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	recs := append(exportRecs(), Record{
 		At: 6*sim.Second + 400*sim.Microsecond, Shard: 3, Seq: 0, Kind: KindPreempt,
 		Chooser: "host2", Subject: "web/v1", Winner: "batch/v0",
-		Detail:     "timeslice expiry",
+		Detail:     Text{format: "timeslice expiry"},
 		Candidates: []Candidate{{Name: "batch/v0", Score: -1.5}, {Name: "web/v1", Score: 0.25}},
 	})
 	var buf bytes.Buffer

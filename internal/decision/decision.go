@@ -21,7 +21,9 @@
 package decision
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -153,23 +155,47 @@ func parseKinds(s string) (kinds []Kind, dup bool, err error) {
 	return kinds, dup, nil
 }
 
+// Text is one line of a record — its detail or a candidate's reason —
+// kept as a constant format and typed operands and formatted only when
+// read (see trace.AppendFormat). With no operands the format is the
+// literal text. A recording site never builds a string: it passes
+// names it already holds and numbers as they are.
+type Text struct {
+	format string
+	args   []trace.Arg
+}
+
+// String formats the text; a literal returns itself without allocating.
+func (t Text) String() string {
+	if len(t.args) == 0 {
+		return t.format
+	}
+	var buf [96]byte
+	return string(trace.AppendFormat(buf[:0], t.format, t.args))
+}
+
 // Candidate is one option a decision considered. Score is
 // lower-is-better at every site (placement scores, outstanding
 // request counts), so the winner of a scored decision is the minimum.
 type Candidate struct {
 	Name   string
 	Score  float64
-	Reason string
+	Reason Text
 }
 
 // KV is one named scalar input a decision read (headroom,
-// interference, burn-rate state, credits...). A slice of pairs keeps
-// record rendering deterministic where a map would not be.
+// interference, burn-rate state, credits...), kept typed until read. A
+// slice of pairs keeps record rendering deterministic where a map would
+// not be.
 type KV struct {
-	Key, Val string
+	Key string
+	Val trace.Arg
 }
 
-// Record is one audited decision.
+// Record is one audited decision. Chooser, Subject and Winner are
+// names the producers already hold; Detail, candidate reasons and input
+// values stay typed (format plus operands) and are rendered only by the
+// read paths — the exports, Input, and the why tools.
 type Record struct {
 	At         sim.Time // virtual time of the choice
 	Shard      int      // origin shard (0 = control plane, i+1 = host i)
@@ -178,16 +204,16 @@ type Record struct {
 	Chooser    string // who decided: "ctl", "host3", ...
 	Subject    string // what the decision is about (VM, replica, zone)
 	Winner     string // the chosen option ("-" when nothing was chosen)
-	Detail     string // one-line human explanation
+	Detail     Text   // one-line human explanation
 	Candidates []Candidate
 	Inputs     []KV
 }
 
-// Input returns the named input value.
+// Input returns the named input value, formatted.
 func (r *Record) Input(key string) (string, bool) {
 	for _, kv := range r.Inputs {
 		if kv.Key == key {
-			return kv.Val, true
+			return kv.Val.String(), true
 		}
 	}
 	return "", false
@@ -240,12 +266,44 @@ func (r *Record) Margin() (float64, bool) {
 // is off. A Ring is single-shard state: written only by its shard's
 // window execution (or barrier context) and drained only at barriers,
 // the same discipline as the cluster's host outboxes.
+//
+// A record's variable-length parts — candidates, inputs, text
+// operands — are carved from the ring's slabs (Candidates, Inputs,
+// Text), so recording allocates only when a slab chunk fills.
 type Ring struct {
 	mask    uint32
 	chooser string
 	shard   int
 	seq     uint64
 	recs    trace.Ring[Record]
+
+	cands  slab[Candidate]
+	inputs slab[KV]
+	args   slab[trace.Arg]
+}
+
+// slabChunk is how many entries a slab chunk holds.
+const slabChunk = 512
+
+// slab hands out sub-slices of shared chunks, allocating a new chunk
+// when the current one cannot fit a request. A chunk is never reused:
+// merged records keep referring into it, and it is freed with the last
+// of them. The first chunk is allocated on first use.
+type slab[T any] struct {
+	free []T // the current chunk's unused tail
+}
+
+// carve returns an empty slice with room for exactly n entries.
+func (s *slab[T]) carve(n int) []T {
+	if n <= 0 {
+		return nil
+	}
+	if len(s.free) < n {
+		s.free = make([]T, max(slabChunk, n))
+	}
+	out := s.free[:0:n]
+	s.free = s.free[n:]
+	return out
 }
 
 // Wants reports whether kind k is recorded. Hook sites call this
@@ -253,6 +311,32 @@ type Ring struct {
 // formatting.
 func (r *Ring) Wants(k Kind) bool {
 	return r != nil && r.mask&(1<<uint(k)) != 0
+}
+
+// Candidates returns an empty candidate list with room for n entries,
+// carved from the ring's slab. Appending past n still works but
+// allocates.
+func (r *Ring) Candidates(n int) []Candidate {
+	if r == nil {
+		return nil
+	}
+	return r.cands.carve(n)
+}
+
+// Inputs returns kvs copied into the ring's slab.
+func (r *Ring) Inputs(kvs ...KV) []KV {
+	if r == nil {
+		return nil
+	}
+	return append(r.inputs.carve(len(kvs)), kvs...)
+}
+
+// Text returns format with its operands copied into the ring's slab.
+func (r *Ring) Text(format string, args ...trace.Arg) Text {
+	if r == nil {
+		return Text{}
+	}
+	return Text{format: format, args: append(r.args.carve(len(args)), args...)}
 }
 
 // Add appends rec, stamping the ring's shard, chooser, and next
@@ -302,8 +386,7 @@ type Log struct {
 	rings   []*Ring
 	merged  []Record
 	total   int
-	dropped uint64   // records past the Total bound
-	batch   []Record // merge scratch
+	dropped uint64 // records past the Total bound
 }
 
 // NewLog builds a log with shards rings.
@@ -343,23 +426,37 @@ func (l *Log) Label(i int, chooser string) {
 	}
 }
 
+// minMergedGrow is the first allocation of the merged log.
+const minMergedGrow = 1024
+
 // Merge drains every shard ring into the merged log under the
 // canonical key: rings are concatenated in shard index order, then
 // stable-sorted by time — exactly the (time, shard, order) merge the
 // sharded engine applies to cross-shard mail. Called at every barrier
-// (and once after the run), where all shards are parked. Nil-safe.
+// (and once after the run), where all shards are parked. The batch is
+// appended and sorted in place, and the merged log grows by doubling,
+// so a barrier allocates only when the log outgrows its storage.
+// Nil-safe.
 func (l *Log) Merge() {
 	if l == nil {
 		return
 	}
-	batch := l.batch[:0]
+	n := 0
 	for _, r := range l.rings {
-		batch = r.recs.AppendTo(batch)
+		n += r.recs.Len()
+	}
+	if n == 0 {
+		return
+	}
+	if need := len(l.merged) + n; need > cap(l.merged) {
+		l.merged = slices.Grow(l.merged, max(need, 2*cap(l.merged), minMergedGrow)-len(l.merged))
+	}
+	start := len(l.merged)
+	for _, r := range l.rings {
+		l.merged = r.recs.AppendTo(l.merged)
 		r.recs.Reset()
 	}
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].At < batch[j].At })
-	l.merged = append(l.merged, batch...)
-	l.batch = batch[:0]
+	slices.SortStableFunc(l.merged[start:], func(a, b Record) int { return cmp.Compare(a.At, b.At) })
 	if over := len(l.merged) - l.total; over > 0 {
 		l.dropped += uint64(over)
 		l.merged = append(l.merged[:0], l.merged[over:]...)

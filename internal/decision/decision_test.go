@@ -1,10 +1,12 @@
 package decision
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func rec(at sim.Time, k Kind, subject string) Record {
@@ -212,15 +214,15 @@ func TestMarginAndRunnerUp(t *testing.T) {
 }
 
 func TestTrailSelectsElasticityStory(t *testing.T) {
-	up := Record{At: 3, Kind: KindAutoscale, Inputs: []KV{{Key: "act", Val: "up"}}}
-	down := Record{At: 9, Kind: KindAutoscale, Inputs: []KV{{Key: "act", Val: "down"}}}
-	failover := Record{At: 2, Kind: KindRoute, Inputs: []KV{{Key: "failover", Val: "1"}}}
+	up := Record{At: 3, Kind: KindAutoscale, Inputs: []KV{{Key: "act", Val: trace.Str("up")}}}
+	down := Record{At: 9, Kind: KindAutoscale, Inputs: []KV{{Key: "act", Val: trace.Str("down")}}}
+	failover := Record{At: 2, Kind: KindRoute, Inputs: []KV{{Key: "failover", Val: trace.Str("1")}}}
 	recs := []Record{
 		rec(0, KindPlace, "srv0"),
 		rec(1, KindCordon, "z1"),
 		rec(1, KindRoute, "srv0"), // plain route: not a failover step
 		failover,
-		{At: 2, Kind: KindRoute, Inputs: []KV{{Key: "failover", Val: "1"}}}, // only the first counts
+		{At: 2, Kind: KindRoute, Inputs: []KV{{Key: "failover", Val: trace.Str("1")}}}, // only the first counts
 		up,
 		rec(5, KindMigrate, "srv1"), // migrations are queryable, not trail steps
 		rec(6, KindUncordon, "z1"),
@@ -264,5 +266,83 @@ func TestCountsString(t *testing.T) {
 	}
 	if got := CountsString(nil); got != "none" {
 		t.Fatalf("empty counts = %q", got)
+	}
+}
+
+// TestMergeSteadyStateZeroAllocs: a barrier merge sorts the batch in
+// place inside the merged log's storage, which grows by doubling, so a
+// steady stream of barriers allocates only on the rare doubling.
+func TestMergeSteadyStateZeroAllocs(t *testing.T) {
+	l := NewLog(4, Options{PerShard: 64})
+	batch := func(base sim.Time) {
+		for s := 3; s >= 0; s-- { // later shards stamp earlier times
+			l.Ring(s).Add(Record{At: base + sim.Time(3-s), Kind: KindRoute})
+			l.Ring(s).Add(Record{At: base + sim.Time(3-s), Kind: KindBoost})
+		}
+	}
+	base := sim.Time(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		base += 10
+		batch(base)
+		l.Merge()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Merge allocates %v allocs/op, want 0", allocs)
+	}
+	recs := l.Records()
+	if len(recs) != 1001*8 {
+		t.Fatalf("merged %d records, want %d", len(recs), 1001*8)
+	}
+	// Canonical order: time, then shard, then per-shard order.
+	for i := 1; i < len(recs); i++ {
+		a, b := recs[i-1], recs[i]
+		if a.At > b.At || a.At == b.At && (a.Shard > b.Shard || a.Shard == b.Shard && a.Seq >= b.Seq) {
+			t.Fatalf("records %d,%d out of canonical order: %+v %+v", i-1, i, a, b)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = l.Records() }); n != 0 {
+		t.Fatalf("Records allocates %v", n)
+	}
+}
+
+// TestRingSlabsCarveTypedParts: candidates, inputs and text operands
+// come from the ring's slabs with exact capacity, so one record's
+// parts never alias another's, and they render when read.
+func TestRingSlabsCarveTypedParts(t *testing.T) {
+	l := NewLog(1, Options{})
+	r := l.Ring(0)
+	for i := 0; i < 2*slabChunk; i++ { // crosses chunk boundaries
+		cands := r.Candidates(2)
+		if cap(cands) != 2 {
+			t.Fatalf("carved capacity %d, want 2", cap(cands))
+		}
+		cands = append(cands,
+			Candidate{Name: "a", Score: float64(i), Reason: r.Text("out=%d", trace.Int(i))},
+			Candidate{Name: "b", Score: float64(i + 1), Reason: Text{format: "idle"}})
+		r.Add(Record{
+			At: sim.Time(i), Kind: KindRoute, Winner: "a",
+			Detail:     r.Text("req@%v to %s", trace.Dur(sim.Time(i)*sim.Millisecond), trace.Str("a")),
+			Candidates: cands,
+			Inputs:     r.Inputs(KV{Key: "zone", Val: trace.Str("z0")}, KV{Key: "n", Val: trace.Int(i)}),
+		})
+	}
+	l.Merge()
+	for i, rec := range l.Records() {
+		if got, want := rec.Detail.String(), "req@"+(sim.Time(i)*sim.Millisecond).String()+" to a"; got != want {
+			t.Fatalf("record %d detail %q, want %q", i, got, want)
+		}
+		if got := rec.Candidates[0].Reason.String(); got != "out="+strconv.Itoa(i) {
+			t.Fatalf("record %d reason %q", i, got)
+		}
+		if n, _ := rec.Input("n"); n != strconv.Itoa(i) {
+			t.Fatalf("record %d input n=%q", i, n)
+		}
+		if m, ok := rec.Margin(); !ok || m != 1 {
+			t.Fatalf("record %d margin %v %v", i, m, ok)
+		}
+	}
+	var nilRing *Ring
+	if nilRing.Candidates(3) != nil || nilRing.Inputs(KV{Key: "k"}) != nil || nilRing.Text("x %d", trace.Int(1)).String() != "" {
+		t.Fatal("nil ring carved storage")
 	}
 }

@@ -59,15 +59,15 @@ func WriteJSON(w io.Writer, recs []Record, dropped uint64) error {
 			Chooser: r.Chooser,
 			Subject: r.Subject,
 			Winner:  r.Winner,
-			Detail:  r.Detail,
+			Detail:  r.Detail.String(),
 		}
 		for _, c := range r.Candidates {
-			jr.Candidates = append(jr.Candidates, jsonCandidate{Name: c.Name, Score: c.Score, Reason: c.Reason})
+			jr.Candidates = append(jr.Candidates, jsonCandidate{Name: c.Name, Score: c.Score, Reason: c.Reason.String()})
 		}
 		if len(r.Inputs) > 0 {
 			jr.Inputs = make(map[string]string, len(r.Inputs))
 			for _, kv := range r.Inputs {
-				jr.Inputs[kv.Key] = kv.Val
+				jr.Inputs[kv.Key] = kv.Val.String()
 			}
 		}
 		bundle.Records = append(bundle.Records, jr)
@@ -97,7 +97,7 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 		args := map[string]string{
 			"subject": r.Subject,
 			"winner":  r.Winner,
-			"detail":  r.Detail,
+			"detail":  r.Detail.String(),
 			"vtime":   time.Duration(r.At).String(),
 		}
 		if m, ok := r.Margin(); ok {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func exportRecs() []Record {
@@ -14,14 +15,14 @@ func exportRecs() []Record {
 		{
 			At: 6 * sim.Second, Shard: 0, Seq: 3, Kind: KindCordon,
 			Chooser: "ctl", Subject: "z1", Winner: "z1",
-			Detail: "zone outage: 8 hosts dark",
-			Inputs: []KV{{Key: "hosts", Val: "8"}},
+			Detail: Text{format: "zone outage: 8 hosts dark"},
+			Inputs: []KV{{Key: "hosts", Val: trace.Int(8)}},
 		},
 		{
 			At: 6*sim.Second + 250*sim.Microsecond, Shard: 0, Seq: 4, Kind: KindRoute,
 			Chooser: "ctl", Subject: "srv0", Winner: "srv0",
-			Candidates: []Candidate{{Name: "srv0", Score: 3, Reason: "out=3"}, {Name: "srv2", Score: 5, Reason: "out=5"}},
-			Inputs:     []KV{{Key: "failover", Val: "1"}},
+			Candidates: []Candidate{{Name: "srv0", Score: 3, Reason: Text{format: "out=3"}}, {Name: "srv2", Score: 5, Reason: Text{format: "out=5"}}},
+			Inputs:     []KV{{Key: "failover", Val: trace.Str("1")}},
 		},
 	}
 }

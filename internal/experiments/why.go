@@ -92,7 +92,7 @@ func whyCell(seed uint64) whyOut {
 			r.Subject,
 			r.Winner,
 			margin,
-			r.Detail,
+			r.Detail.String(),
 		})
 	}
 	rows = append(rows, []string{

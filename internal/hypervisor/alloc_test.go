@@ -81,3 +81,52 @@ func TestPLERearmZeroAllocs(t *testing.T) {
 		t.Fatalf("lone spinner yielded %d times (state %v), want 0 and running", h.PLEYields(), v.State())
 	}
 }
+
+// TestPendingIRQBufferReused: interrupts pended while a vCPU is off-CPU
+// and claimed on resume reuse the buffers the guest has drained, so a
+// pend/claim cycle allocates nothing at steady state.
+func TestPendingIRQBufferReused(t *testing.T) {
+	_, h, v := soloRig(t, StrategyVanilla)
+	for i := 0; i < 2; i++ { // one claim per buffer binds both
+		h.pendIRQ(v, IRQKick)
+		h.ClaimPendingIRQs(v)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		h.pendIRQ(v, IRQTimer)
+		h.pendIRQ(v, IRQKick)
+		h.pendIRQ(v, IRQKick) // collapses
+		if irqs := h.ClaimPendingIRQs(v); len(irqs) != 2 || irqs[0] != IRQTimer || irqs[1] != IRQKick {
+			t.Fatalf("claimed %v, want [timer kick]", irqs)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("pend/claim cycle allocates %v allocs/op, want 0", allocs)
+	}
+	if h.HasPendingIRQ(v) {
+		t.Fatal("claim left interrupts pending")
+	}
+}
+
+// TestRepickVCPUZeroAllocs: the periodic re-pick scans the other pCPUs
+// into a per-hypervisor scratch list instead of a fresh slice per call.
+func TestRepickVCPUZeroAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig(3)
+	cfg.RepickEpsilon = 0 // equal-load candidates are listed, never taken
+	h := New(eng, cfg)
+	v := h.NewVM("solo", 1, 256, false).VCPUs[0]
+	h.RegisterGuest(v, &stubGuest{v: v})
+	h.StartVCPU(v)
+	p := v.pcpu
+	if p == nil || p.current != v {
+		t.Fatalf("vCPU not running (state %v)", v.State())
+	}
+	h.repickVCPU(p, v)
+	allocs := testing.AllocsPerRun(100, func() { h.repickVCPU(p, v) })
+	if allocs != 0 {
+		t.Fatalf("repickVCPU allocates %v allocs/op, want 0", allocs)
+	}
+	if v.pcpu != p {
+		t.Fatal("repick moved the vCPU with RepickEpsilon 0")
+	}
+}

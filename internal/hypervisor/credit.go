@@ -596,7 +596,7 @@ func (h *Hypervisor) repickVCPU(p *PCPU, v *VCPU) {
 	myLoad := p.QueueLen() + 1
 	var best *PCPU
 	bestLoad := myLoad - 1 // require a strictly better target
-	equals := make([]*PCPU, 0, len(h.pcpus))
+	equals := h.repickScratch[:0]
 	for _, q := range h.pcpus {
 		if q == p {
 			continue
@@ -608,6 +608,7 @@ func (h *Hypervisor) repickVCPU(p *PCPU, v *VCPU) {
 			equals = append(equals, q)
 		}
 	}
+	h.repickScratch = equals
 	target := best
 	if target == nil && len(equals) > 0 && h.rng.Float64() < h.cfg.RepickEpsilon {
 		target = equals[h.rng.Intn(len(equals))]

@@ -1,11 +1,9 @@
 package hypervisor
 
 import (
-	"fmt"
-	"strconv"
-
 	"repro/internal/decision"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Decision-log producers for the two per-vCPU scheduler choices worth
@@ -14,7 +12,9 @@ import (
 // Ring.Wants before calling in here; these helpers are the cold path
 // and are marked noinline so their record construction never bloats the
 // scheduler fast path or defeats the zero-alloc-when-off guarantee
-// (pinned by TestDisabledDecisionLogZeroAllocs).
+// (pinned by TestDisabledDecisionLogZeroAllocs). The records are typed:
+// cached names, constant state strings and raw numbers, carved from
+// the ring's slabs, so recording allocates nothing either.
 
 //go:noinline
 func (h *Hypervisor) recordBoost(d *decision.Ring, v *VCPU) {
@@ -23,11 +23,11 @@ func (h *Hypervisor) recordBoost(d *decision.Ring, v *VCPU) {
 		Kind:    decision.KindBoost,
 		Subject: v.VM.Name,
 		Winner:  v.Name(),
-		Detail:  fmt.Sprintf("wake boost for %s", v.Name()),
-		Inputs: []decision.KV{
-			{Key: "credits", Val: strconv.Itoa(v.credits)},
-			{Key: "grants", Val: strconv.FormatInt(v.VM.BoostGrants, 10)},
-		},
+		Detail:  d.Text("wake boost for %s", trace.Str(v.Name())),
+		Inputs: d.Inputs(
+			decision.KV{Key: "credits", Val: trace.Int(v.credits)},
+			decision.KV{Key: "grants", Val: trace.Int(int(v.VM.BoostGrants))},
+		),
 	})
 }
 
@@ -38,13 +38,13 @@ func (h *Hypervisor) recordPreempt(d *decision.Ring, now sim.Time, p *PCPU, v *V
 		Kind:    decision.KindPreempt,
 		Subject: v.VM.Name,
 		Winner:  v.Name(),
-		Detail:  fmt.Sprintf("involuntary deschedule of %s on %s (%s)", v.Name(), p.Name(), pc),
-		Inputs: []decision.KV{
-			{Key: "pcpu", Val: p.Name()},
-			{Key: "class", Val: pc.String()},
-			{Key: "prio", Val: v.prio.String()},
-			{Key: "credits", Val: strconv.Itoa(v.credits)},
-			{Key: "to", Val: disposition.String()},
-		},
+		Detail:  d.Text("involuntary deschedule of %s on %s (%s)", trace.Str(v.Name()), trace.Str(p.Name()), trace.Str(pc.String())),
+		Inputs: d.Inputs(
+			decision.KV{Key: "pcpu", Val: trace.Str(p.Name())},
+			decision.KV{Key: "class", Val: trace.Str(pc.String())},
+			decision.KV{Key: "prio", Val: trace.Str(v.prio.String())},
+			decision.KV{Key: "credits", Val: trace.Int(v.credits)},
+			decision.KV{Key: "to", Val: trace.Str(disposition.String())},
+		),
 	})
 }

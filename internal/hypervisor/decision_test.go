@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/decision"
@@ -151,4 +152,28 @@ func BenchmarkHotPathNoDecisions(b *testing.B) { benchDecisionHotPath(b, nil) }
 func BenchmarkHotPathWithDecisions(b *testing.B) {
 	log := decision.NewLog(1, decision.Options{Kinds: decision.AllKinds()})
 	benchDecisionHotPath(b, log.Ring(0))
+}
+
+// TestRecordBoostZeroAllocs: a BOOST record is typed — cached names and
+// raw numbers carved from the ring's slabs — so recording one allocates
+// nothing beyond the slab chunks and the ring's own growth, amortized
+// to zero per record.
+func TestRecordBoostZeroAllocs(t *testing.T) {
+	log := decision.NewLog(1, decision.Options{Kinds: decision.AllKinds()})
+	d := log.Ring(0)
+	_, h := decRig(1, d)
+	v := h.VMs()[0].VCPUs[0]
+	allocs := testing.AllocsPerRun(1000, func() { h.recordBoost(d, v) })
+	if allocs != 0 {
+		t.Fatalf("recordBoost allocates %v allocs/op, want 0", allocs)
+	}
+	log.Merge()
+	recs := log.Records()
+	last := recs[len(recs)-1]
+	if got := last.Detail.String(); got != "wake boost for vma/v0" {
+		t.Fatalf("boost detail %q", got)
+	}
+	if c, _ := last.Input("credits"); c != strconv.Itoa(v.credits) {
+		t.Fatalf("credits input %q, want %d", c, v.credits)
+	}
 }

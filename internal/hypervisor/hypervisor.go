@@ -171,6 +171,8 @@ type Hypervisor struct {
 	gangSlot   int
 	gangActive *VM
 
+	repickScratch []*PCPU // repickVCPU's equal-load candidates
+
 	pleYields      int64
 	saSent         int64
 	saAcked        int64

@@ -161,6 +161,7 @@ type VCPU struct {
 	startedAt sim.Time // when the vCPU came online
 
 	pendingIRQ []IRQ
+	claimedIRQ []IRQ        // the last claimed batch; its storage backs the next one
 	timer      sim.EventRef // one-shot guest timer
 	timerAt    sim.Time
 

@@ -80,10 +80,14 @@ func (h *Hypervisor) pendIRQ(v *VCPU, irq IRQ) {
 }
 
 // ClaimPendingIRQs returns and clears the interrupts that arrived while
-// the vCPU was descheduled. The guest calls this first thing on resume.
+// the vCPU was descheduled. The guest calls this first thing on resume
+// and handles the batch at once: the returned slice is valid until the
+// next claim on v, whose storage the two batches then swap, so pending
+// interrupts reuse the buffers the guest has drained.
 func (h *Hypervisor) ClaimPendingIRQs(v *VCPU) []IRQ {
 	irqs := v.pendingIRQ
-	v.pendingIRQ = nil
+	v.pendingIRQ = v.claimedIRQ[:0]
+	v.claimedIRQ = irqs
 	return irqs
 }
 

@@ -46,6 +46,11 @@ type Checker struct {
 	total      int64
 	audits     int64
 
+	// report is the callback every audit hands its sources, bound once;
+	// it stamps violations with auditNow, the running audit's time.
+	report   func(rule, detail string)
+	auditNow sim.Time
+
 	// OnViolation, when non-nil, observes every violation as it is
 	// recorded (including ones past the storage cap). The watch flight
 	// recorder subscribes here so an invariant trip dumps an incident
@@ -97,10 +102,12 @@ func (c *Checker) Audit() {
 // clock) uses this instead of Attach.
 func (c *Checker) AuditAt(now sim.Time) {
 	c.audits++
+	if c.report == nil {
+		c.report = func(rule, detail string) { c.record(c.auditNow, rule, detail) }
+	}
+	c.auditNow = now
 	for _, s := range c.sources {
-		s.AuditInvariants(func(rule, detail string) {
-			c.record(now, rule, detail)
-		})
+		s.AuditInvariants(c.report)
 	}
 }
 

@@ -99,3 +99,25 @@ func TestRecordingCapHolds(t *testing.T) {
 		t.Fatalf("recorded %d, want capped at 256", len(chk.Violations()))
 	}
 }
+
+// TestAuditAtZeroAllocs: the report callback sources receive is bound
+// once, so a clean audit pass allocates nothing.
+func TestAuditAtZeroAllocs(t *testing.T) {
+	chk := invariant.New(sim.Millisecond)
+	chk.Observe(&fakeSource{}, &fakeSource{})
+	chk.AuditAt(0)
+	now := sim.Time(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		now += sim.Millisecond
+		chk.AuditAt(now)
+	})
+	if allocs != 0 {
+		t.Fatalf("AuditAt allocates %v allocs/op, want 0", allocs)
+	}
+	// Violations still carry the time of the audit that found them.
+	chk.Observe(&fakeSource{rules: []string{"r"}})
+	chk.AuditAt(7 * sim.Millisecond)
+	if vs := chk.Violations(); len(vs) != 1 || vs[0].At != 7*sim.Millisecond {
+		t.Fatalf("violations = %+v", vs)
+	}
+}

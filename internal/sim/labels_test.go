@@ -78,3 +78,70 @@ func TestEventLabelsAreConstant(t *testing.T) {
 		t.Fatalf("checked only %d scheduling calls: the walk missed the code base", checked)
 	}
 }
+
+// TestDecisionRecordsAreTyped enforces the matching rule for the
+// decision log: in the packages that record decisions on the hot path
+// (internal/cluster, internal/hypervisor), no fmt call may build part
+// of a decision.Record literal or an argument to a ring's Add. Records
+// carry constant formats and typed operands and are formatted only
+// when read; a Sprintf there would put the per-record string work
+// back on every route, boost and preemption.
+func TestDecisionRecordsAreTyped(t *testing.T) {
+	fset := token.NewFileSet()
+	records, adds := 0, 0
+	for _, pkg := range []string{"cluster", "hypervisor"} {
+		dir := filepath.Join("..", pkg)
+		entries, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range entries {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			noFmt := func(n ast.Node, what string) {
+				ast.Inspect(n, func(m ast.Node) bool {
+					if call, ok := m.(*ast.CallExpr); ok && isSelector(call.Fun, "fmt", "") {
+						t.Errorf("%s: fmt call inside a %s", fset.Position(call.Pos()), what)
+					}
+					return true
+				})
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if isSelector(n.Type, "decision", "Record") {
+						records++
+						noFmt(n, "decision.Record literal")
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" {
+						adds++
+						for _, a := range n.Args {
+							noFmt(a, "ring Add argument")
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if records < 10 || adds < 10 {
+		t.Fatalf("checked only %d record literals and %d Add calls: the walk missed the producers", records, adds)
+	}
+}
+
+// isSelector reports whether e is the qualified identifier pkg.name
+// (any name in pkg when name is empty).
+func isSelector(e ast.Expr, pkg, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || name != "" && sel.Sel.Name != name {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == pkg
+}

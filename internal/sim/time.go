@@ -5,7 +5,7 @@
 package sim
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -36,14 +36,21 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
 func (t Time) String() string {
+	var buf [24]byte
+	return string(t.Append(buf[:0]))
+}
+
+// Append appends t's String form to dst: three decimals in the largest
+// unit it reaches (s, ms, µs), or whole nanoseconds below a microsecond.
+func (t Time) Append(dst []byte) []byte {
 	switch {
 	case t >= Second:
-		return fmt.Sprintf("%.3fs", t.Seconds())
+		return append(strconv.AppendFloat(dst, t.Seconds(), 'f', 3, 64), 's')
 	case t >= Millisecond:
-		return fmt.Sprintf("%.3fms", t.Milliseconds())
+		return append(strconv.AppendFloat(dst, t.Milliseconds(), 'f', 3, 64), "ms"...)
 	case t >= Microsecond:
-		return fmt.Sprintf("%.3fµs", t.Microseconds())
+		return append(strconv.AppendFloat(dst, t.Microseconds(), 'f', 3, 64), "µs"...)
 	default:
-		return fmt.Sprintf("%dns", int64(t))
+		return append(strconv.AppendInt(dst, int64(t), 10), "ns"...)
 	}
 }

@@ -20,6 +20,7 @@ package span
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -131,17 +132,29 @@ func (t *Totals) Add(o Totals) {
 	}
 }
 
+// inlineSegments is how many leaf segments a span holds without a
+// heap allocation, shared by its phases; most requests need two to
+// four.
+const inlineSegments = 4
+
 // Span is one request's causal trace: a root interval subdivided into
 // phases, each subdivided into categorized segments. All mutation
 // happens at simulation time through Transition/BeginPhase/Finish.
+//
+// A span carries inline backing for its usual two phases and first
+// few segments, and its tracer carves spans from chunked slabs, so
+// tracing a typical request allocates nothing of its own.
 type Span struct {
 	ID         int64
 	Start, End sim.Time // End is 0 while the span is open
-	Phases     []*Phase
+	Phases     []Phase
 
 	cur      Category
 	curSince sim.Time
 	tracer   *Tracer
+
+	phaseBuf [2]Phase
+	segBuf   [inlineSegments]Segment
 }
 
 // Wall returns the end-to-end latency of a finished span.
@@ -154,7 +167,7 @@ func (s *Span) Finished() bool { return s.End != 0 }
 func (s *Span) Category() Category { return s.cur }
 
 // phase returns the open phase.
-func (s *Span) phase() *Phase { return s.Phases[len(s.Phases)-1] }
+func (s *Span) phase() *Phase { return &s.Phases[len(s.Phases)-1] }
 
 // closeSegment seals the accruing interval [curSince, now) under the
 // current category, coalescing with the previous segment when the
@@ -195,8 +208,20 @@ func (s *Span) BeginPhase(now sim.Time, name string, c Category) {
 		return
 	}
 	s.closeSegment(now)
-	s.phase().End = now
-	s.Phases = append(s.Phases, &Phase{Name: name, Start: now})
+	p := s.phase()
+	p.End = now
+	// The second phase continues in whatever inline segment storage the
+	// first left; the first is clipped so it can never grow into it.
+	var segs []Segment
+	if len(s.Phases) == 1 {
+		used := len(p.Segments)
+		if used > inlineSegments {
+			used = 0 // the first phase has moved to the heap
+		}
+		segs = s.segBuf[used:used]
+	}
+	p.Segments = slices.Clip(p.Segments)
+	s.Phases = append(s.Phases, Phase{Name: name, Start: now, Segments: segs})
 	s.cur = c
 }
 
@@ -222,8 +247,8 @@ func (s *Span) Finish(now sim.Time) {
 // Totals sums the span's segments per category.
 func (s *Span) Totals() Totals {
 	var t Totals
-	for _, p := range s.Phases {
-		for _, seg := range p.Segments {
+	for i := range s.Phases {
+		for _, seg := range s.Phases[i].Segments {
 			t[seg.Cat] += seg.Dur()
 		}
 	}
@@ -233,8 +258,8 @@ func (s *Span) Totals() Totals {
 // SegmentCount returns the number of leaf segments.
 func (s *Span) SegmentCount() int {
 	n := 0
-	for _, p := range s.Phases {
-		n += len(p.Segments)
+	for i := range s.Phases {
+		n += len(s.Phases[i].Segments)
 	}
 	return n
 }
@@ -253,6 +278,7 @@ type Tracer struct {
 	nextID   int64
 	open     int
 	finished []*Span
+	slab     []Span // the current chunk's unminted tail
 
 	// OnFinish, when non-nil, observes each span as it finishes (after
 	// it is appended to the finished list). The watch flight recorder
@@ -273,15 +299,24 @@ func (tr *Tracer) Start(arrival sim.Time) *Span {
 	}
 	tr.nextID++
 	tr.open++
-	return &Span{
-		ID:       tr.nextID,
-		Start:    arrival,
-		Phases:   []*Phase{{Name: "queue", Start: arrival}},
-		cur:      CatQueueWait,
-		curSince: arrival,
-		tracer:   tr,
+	if len(tr.slab) == 0 {
+		tr.slab = make([]Span, spanChunk)
 	}
+	s := &tr.slab[0]
+	tr.slab = tr.slab[1:]
+	s.ID = tr.nextID
+	s.Start = arrival
+	s.cur = CatQueueWait
+	s.curSince = arrival
+	s.tracer = tr
+	s.phaseBuf[0] = Phase{Name: "queue", Start: arrival, Segments: s.segBuf[:0]}
+	s.Phases = s.phaseBuf[:1]
+	return s
 }
+
+// spanChunk is how many spans a tracer allocates at a time. A chunk
+// lives as long as any span carved from it.
+const spanChunk = 128
 
 func (tr *Tracer) finish(s *Span) {
 	tr.open--
@@ -325,13 +360,16 @@ func (tr *Tracer) Adopt(s *Span) {
 }
 
 // TakeFinished returns the collected spans and resets the collection
-// (the open count is untouched; collectors never mint).
+// (the open count is untouched; collectors never mint). The collection
+// keeps its storage, so the returned slice is valid only until the
+// next span finishes on tr: callers consume it at once, as the barrier
+// drain does with AbsorbFinished.
 func (tr *Tracer) TakeFinished() []*Span {
 	if tr == nil || len(tr.finished) == 0 {
 		return nil
 	}
 	out := tr.finished
-	tr.finished = nil
+	tr.finished = tr.finished[:0]
 	return out
 }
 

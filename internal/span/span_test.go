@@ -121,3 +121,72 @@ func TestTracerAccounting(t *testing.T) {
 		t.Fatal("finish accounting wrong")
 	}
 }
+
+// TestSpanLifecycleZeroAllocs: spans are carved from the tracer's
+// chunked slab and keep their usual two phases and first few segments
+// inline, and a collector reuses its finished buffer, so tracing a
+// typical request allocates nothing amortized over the chunks.
+func TestSpanLifecycleZeroAllocs(t *testing.T) {
+	tr := NewTracer()
+	col := NewTracer()
+	now := us(0)
+	life := func() {
+		now += us(10)
+		s := tr.Start(now)
+		col.Adopt(s)
+		s.BeginPhase(now+us(1), "service", CatKernel)
+		s.Transition(now+us(2), CatService)
+		s.Transition(now+us(3), CatPreemptWait)
+		s.Finish(now + us(4))
+		tr.AbsorbFinished(col.TakeFinished())
+	}
+	life()
+	// tr's own finished list grows with the run; size it up front so
+	// only the span path is measured.
+	tr.finished = make([]*Span, 0, 4096)
+	if allocs := testing.AllocsPerRun(1000, life); allocs != 0 {
+		t.Fatalf("span lifecycle allocates %v allocs/op, want 0", allocs)
+	}
+	if len(tr.Finished()) != 1001 || tr.Open() != 0 { // AllocsPerRun adds a warm-up run
+		t.Fatalf("finished %d, open %d", len(tr.Finished()), tr.Open())
+	}
+	for _, s := range tr.Finished() {
+		if s.ConservationError() != 0 || s.SegmentCount() != 4 {
+			t.Fatalf("span %d: %d segments, conservation error %v", s.ID, s.SegmentCount(), s.ConservationError())
+		}
+	}
+}
+
+// TestSpanSegmentsOutgrowInline: segments past the inline buffer spill
+// to the heap in either phase without disturbing the other phase.
+func TestSpanSegmentsOutgrowInline(t *testing.T) {
+	for _, queueSegs := range []int{0, 1, inlineSegments, inlineSegments + 3} {
+		tr := NewTracer()
+		s := tr.Start(0)
+		at := sim.Time(0)
+		cats := []Category{CatVMMigr, CatQueueWait}
+		for i := 0; i < queueSegs; i++ {
+			at += us(1)
+			s.Transition(at, cats[i%2])
+		}
+		s.BeginPhase(at+us(1), "service", CatKernel)
+		at += us(1)
+		for i := 0; i < 2*inlineSegments; i++ {
+			at += us(1)
+			s.Transition(at, []Category{CatService, CatRunqWait}[i%2])
+		}
+		s.Finish(at + us(1))
+		if s.ConservationError() != 0 {
+			t.Fatalf("%d queue segments: conservation error %v", queueSegs, s.ConservationError())
+		}
+		if got := len(s.Phases[0].Segments); got != queueSegs+1 {
+			t.Fatalf("%d queue transitions left %d queue segments", queueSegs, got)
+		}
+		if got := len(s.Phases[1].Segments); got != 2*inlineSegments+1 {
+			t.Fatalf("service phase has %d segments, want %d", got, 2*inlineSegments+1)
+		}
+		if s.Phases[0].Segments[0].Start != 0 || s.Phases[1].Segments[0].Cat != CatKernel {
+			t.Fatalf("phase heads clobbered: %+v / %+v", s.Phases[0].Segments[0], s.Phases[1].Segments[0])
+		}
+	}
+}

@@ -10,6 +10,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/kv"
@@ -105,33 +106,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12s %-8s %-12s %s", e.At, e.Kind, e.Subject, e.Detail)
 }
 
-// Arg is one typed operand of a Recordf event, kept as a plain value
-// and formatted only when the event's Detail is read.
-type Arg struct {
-	str  string
-	num  int64
-	kind byte // 's' string, 'd' integer, 't' virtual time
-}
-
-// Str is a string operand (%s).
-func Str(s string) Arg { return Arg{str: s, kind: 's'} }
-
-// Int is an integer operand (%d).
-func Int(n int) Arg { return Arg{num: int64(n), kind: 'd'} }
-
-// Dur is a virtual-time operand, formatted like sim.Time (%s).
-func Dur(t sim.Time) Arg { return Arg{num: int64(t), kind: 't'} }
-
-func (a Arg) value() any {
-	switch a.kind {
-	case 's':
-		return a.str
-	case 't':
-		return sim.Time(a.num)
-	}
-	return a.num
-}
-
 // record is one retained event with its detail still unformatted: a
 // constant format and up to two typed operands. With no operands the
 // format is the literal detail.
@@ -146,11 +120,9 @@ type record struct {
 
 func (r *record) event() Event {
 	detail := r.format
-	switch r.nargs {
-	case 1:
-		detail = fmt.Sprintf(r.format, r.args[0].value())
-	case 2:
-		detail = fmt.Sprintf(r.format, r.args[0].value(), r.args[1].value())
+	if r.nargs > 0 {
+		var buf [64]byte
+		detail = string(AppendFormat(buf[:0], r.format, r.args[:r.nargs]))
 	}
 	return Event{At: r.at, Kind: r.kind, Subject: r.subject, Detail: detail}
 }
@@ -193,9 +165,18 @@ func (l *Log) each(fn func(r *record)) {
 // Events returns the retained events in order, formatting each detail.
 // The slice is the caller's: later recording cannot change it.
 func (l *Log) Events() []Event {
-	out := make([]Event, 0, l.ring.Len())
-	l.each(func(r *record) { out = append(out, r.event()) })
-	return out
+	return l.AppendTail(nil, l.ring.Len())
+}
+
+// AppendTail appends the newest n retained events (all of them when
+// fewer are retained) to dst, oldest first, formatting only those.
+func (l *Log) AppendTail(dst []Event, n int) []Event {
+	n = min(n, l.ring.Len())
+	dst = slices.Grow(dst, n)
+	for i := l.ring.Len() - n; i < l.ring.Len(); i++ {
+		dst = append(dst, l.ring.At(i).event())
+	}
+	return dst
 }
 
 // Dropped reports how many events were evicted.

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -251,5 +253,67 @@ func TestRecordfAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Recordf allocates %.1f times per event, want 0", allocs)
+	}
+}
+
+// TestAppendFormatMatchesSprintf pins the boxing-free formatter to
+// fmt.Sprintf over the same values, for every operand kind the
+// recording sites use and times in every unit range.
+func TestAppendFormatMatchesSprintf(t *testing.T) {
+	times := []sim.Time{0, 999, sim.Microsecond, 1234567, 999999999, sim.Second, 6*sim.Second + 400*sim.Microsecond, -5}
+	for _, d := range times {
+		got := string(AppendFormat(nil, "req@%v to %s", []Arg{Dur(d), Str("srv0#2")}))
+		if want := fmt.Sprintf("req@%v to %s", d, "srv0#2"); got != want {
+			t.Fatalf("time %d: %q, want %q", int64(d), got, want)
+		}
+	}
+	floats := []float64{0, 0.1234, -2.5, 1e9, math.Inf(1), math.Inf(-1), math.NaN(), 0.0005}
+	for _, f := range floats {
+		got := string(AppendFormat(nil, "busy=%.3f intf=%f", []Arg{Float(f, 1), Float(f, 3)}))
+		if want := fmt.Sprintf("busy=%.3f intf=%.3f", f, f); got != want {
+			t.Fatalf("float %v: %q, want %q", f, got, want)
+		}
+		if got, want := Float(f, 2).String(), strconv.FormatFloat(f, 'f', 2, 64); got != want {
+			t.Fatalf("float operand %v: %q, want %q", f, got, want)
+		}
+	}
+	for _, n := range []int64{0, -1, 255, 256, math.MaxInt64, math.MinInt64} {
+		got := string(AppendFormat(nil, "out=%d 100%% (%d)", []Arg{Int(int(n)), Int(7)}))
+		if want := fmt.Sprintf("out=%d 100%% (%d)", n, 7); got != want {
+			t.Fatalf("int %d: %q, want %q", n, got, want)
+		}
+	}
+	if got := string(AppendFormat(nil, "100% literal", nil)); got != "100% literal" {
+		t.Fatalf("literal = %q", got)
+	}
+	if got := string(AppendFormat(nil, "%s and %s", []Arg{Str("a")})); got != "a and %!s(MISSING)" {
+		t.Fatalf("missing operand = %q", got)
+	}
+}
+
+// TestAppendTailFormatsOnlyTail: a tail read formats just the newest n
+// events, each costing only its detail string — no operand is boxed.
+func TestAppendTailFormatsOnlyTail(t *testing.T) {
+	l := NewLog(100)
+	for i := 0; i < 250; i++ {
+		l.Recordf(sim.Time(i)*sim.Millisecond, KindMigrate, "t", "cpu%d -> cpu%d", Int(1000+i), Int(2000+i))
+	}
+	all := l.Events()
+	tail := l.AppendTail(nil, 64)
+	if len(tail) != 64 {
+		t.Fatalf("tail of %d events", len(tail))
+	}
+	for i, e := range tail {
+		if e != all[len(all)-64+i] {
+			t.Fatalf("tail[%d] = %+v, want %+v", i, e, all[len(all)-64+i])
+		}
+	}
+	if got := l.AppendTail(nil, 1000); len(got) != len(all) {
+		t.Fatalf("oversized tail returned %d of %d events", len(got), len(all))
+	}
+	buf := make([]Event, 0, 64)
+	allocs := testing.AllocsPerRun(20, func() { buf = l.AppendTail(buf[:0], 64) })
+	if allocs != 64 {
+		t.Fatalf("tail of 64 events allocates %v times, want 64 (one detail each)", allocs)
 	}
 }

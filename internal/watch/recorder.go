@@ -210,11 +210,9 @@ func (rec *Recorder) Capture(at sim.Time, reason, detail string, st *Store, from
 		})
 	}
 
+	var events []trace.Event
 	for _, h := range rec.hosts {
-		events := h.log.Events()
-		if len(events) > hostEventCount {
-			events = events[len(events)-hostEventCount:]
-		}
+		events = h.log.AppendTail(events[:0], hostEventCount)
 		he := HostEvents{Host: h.name, Dropped: h.log.Dropped()}
 		for _, e := range events {
 			he.Events = append(he.Events, e.String())

@@ -129,3 +129,38 @@ func TestWatcherRecordInvariant(t *testing.T) {
 		t.Fatalf("incident = %+v", seen[0])
 	}
 }
+
+// TestRecorderHostEventsAreTail: a bundle formats only each host's
+// newest hostEventCount events, and they are exactly the tail of the
+// host log's full Events() rendering — wrapped ring, short log and
+// empty log alike.
+func TestRecorderHostEventsAreTail(t *testing.T) {
+	rec := NewRecorder(0, 0)
+	logs := []*trace.Log{trace.NewLog(300), trace.NewLog(300), trace.NewLog(300)}
+	for i := 0; i < 1000; i++ { // wraps the first ring three times
+		logs[0].Recordf(sim.Time(i)*sim.Microsecond, trace.KindMigrate, "t", "cpu%d -> cpu%d", trace.Int(i), trace.Int(i+1))
+	}
+	for i := 0; i < 10; i++ {
+		logs[1].Recordf(sim.Time(i), trace.KindSA, "v", "acked after %s (%s)", trace.Dur(sim.Time(i)*sim.Millisecond), trace.Str("blocked"))
+	}
+	for i, l := range logs {
+		rec.AddHostLog("host"+string(rune('0'+i)), l)
+	}
+	inc := rec.Capture(sim.Second, "invariant", "test", nil, 0)
+	for i, l := range logs {
+		all := l.Events()
+		want := all[max(0, len(all)-hostEventCount):]
+		got := inc.Hosts[i].Events
+		if len(got) != len(want) {
+			t.Fatalf("host %d: %d events in bundle, want %d", i, len(got), len(want))
+		}
+		for j, e := range want {
+			if got[j] != e.String() {
+				t.Fatalf("host %d event %d = %q, want %q", i, j, got[j], e.String())
+			}
+		}
+		if inc.Hosts[i].Dropped != l.Dropped() {
+			t.Fatalf("host %d dropped %d, want %d", i, inc.Hosts[i].Dropped, l.Dropped())
+		}
+	}
+}

@@ -28,8 +28,8 @@ type Request struct {
 
 type openServerShared struct {
 	*serverShared
-	queue    []Request // waiting requests, arrival order
-	sleepers []openSleeper
+	queue    sim.Queue[Request] // waiting requests, arrival order
+	sleepers sim.Queue[openSleeper]
 	kern     *guest.Kernel
 	genRNG   *sim.RNG
 	Dropped  int64
@@ -64,7 +64,7 @@ type openWorker struct {
 // Step implements guest.Program: take the next request or sleep.
 func (w *openWorker) Step(t *guest.Task) guest.Action {
 	sh := w.sh
-	if t.Kernel().Now() >= sh.until && len(sh.queue) == 0 {
+	if t.Kernel().Now() >= sh.until && sh.queue.Len() == 0 {
 		return guest.Exit()
 	}
 	if w.takeFn == nil {
@@ -81,17 +81,16 @@ func (w *openWorker) Step(t *guest.Task) guest.Action {
 func (w *openWorker) take(t *guest.Task, resume func()) {
 	sh := w.sh
 	w.t, w.resume = t, resume
-	if len(sh.queue) == 0 {
+	if sh.queue.Len() == 0 {
 		if t.Kernel().Now() >= sh.until {
 			resume() // Step will exit
 			return
 		}
-		sh.sleepers = append(sh.sleepers, openSleeper{t: t, cont: w.retakeFn})
+		sh.sleepers.Push(openSleeper{t: t, cont: w.retakeFn})
 		t.Kernel().BlockTask(t)
 		return
 	}
-	req := sh.queue[0]
-	sh.queue = sh.queue[1:]
+	req := sh.queue.Pop()
 	if g := sh.gate; g != nil {
 		g.inflight++
 	}
@@ -155,17 +154,14 @@ func (sh *openServerShared) generate() {
 	now := sh.kern.Now()
 	if now >= sh.until {
 		// Run down: wake every sleeper so workers can exit.
-		sl := sh.sleepers
-		sh.sleepers = nil
-		for _, s := range sl {
+		for _, s := range sh.sleepers.TakeAll() {
 			sh.kern.WakeTask(s.t, s.cont)
 		}
 		return
 	}
-	sh.queue = append(sh.queue, Request{Arrival: now, Span: sh.kern.Spans().Start(now)})
-	if len(sh.sleepers) > 0 {
-		s := sh.sleepers[0]
-		sh.sleepers = sh.sleepers[1:]
+	sh.queue.Push(Request{Arrival: now, Span: sh.kern.Spans().Start(now)})
+	if sh.sleepers.Len() > 0 {
+		s := sh.sleepers.Pop()
 		sh.kern.WakeTask(s.t, s.cont)
 	}
 	sh.kern.Engine().After(sh.genRNG.Exp(sh.spec.Arrival), "arrival", sh.generate)

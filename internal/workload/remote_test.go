@@ -114,3 +114,27 @@ func TestRemoteGateSubmitBeforeStartPanics(t *testing.T) {
 	}()
 	gate.Submit(0)
 }
+
+// TestRemoteGateCycleZeroAllocs: the request queue and the sleeper
+// list are FIFOs that reuse their storage, so a steady stream of
+// submit → wake → take → serve → sleep cycles allocates nothing.
+func TestRemoteGateCycleZeroAllocs(t *testing.T) {
+	eng, _, gate := remoteRig(t, 1, 100*sim.Microsecond)
+	cycle := func() {
+		gate.Submit(eng.Now())
+		gate.Submit(eng.Now())
+		if err := eng.Run(eng.Now() + sim.Millisecond); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(100, cycle)
+	if allocs != 0 {
+		t.Fatalf("submit/serve cycle allocates %v allocs/op, want 0", allocs)
+	}
+	if gate.Served() != gate.Submitted() || gate.Served() != 2*(10+101) {
+		t.Fatalf("served %d of %d submitted", gate.Served(), gate.Submitted())
+	}
+}
