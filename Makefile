@@ -30,18 +30,20 @@ race:
 
 # Benchmark snapshot: the per-figure evaluation benchmarks (root
 # package) plus the engine microbenchmarks, captured as JSON for the
-# regression gate.
+# regression gate. Each benchmark runs five times and benchjson keeps
+# the per-metric median.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./... > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 ./... > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
 	@cat bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_SNAPSHOT) < bench.out
 	@rm -f bench.out
 
-# Regression gate: measure a fresh snapshot and compare it against the
-# committed baseline with a ±15% tolerance. allocs/op is gated on every
-# host; ns/op only when the host metadata matches the baseline's.
+# Regression gate: measure a fresh snapshot (medians of five runs) and
+# compare it against the committed baseline with a ±15% tolerance.
+# allocs/op is gated on every host; ns/op only when the host metadata
+# matches the baseline's.
 bench-compare:
-	$(GO) test -run '^$$' -bench . -benchmem ./... > bench.new.out || { cat bench.new.out; rm -f bench.new.out; exit 1; }
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 ./... > bench.new.out || { cat bench.new.out; rm -f bench.new.out; exit 1; }
 	@cat bench.new.out
 	$(GO) run ./cmd/benchjson -o bench.new.json < bench.new.out
 	$(GO) run ./cmd/benchjson -compare -tolerance 0.15 $(BENCH_SNAPSHOT) bench.new.json

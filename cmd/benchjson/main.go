@@ -3,7 +3,11 @@
 //
 // Snapshot mode reads benchmark output on stdin and writes JSON:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH.json
+//	go test -run '^$' -bench . -benchmem -count 5 ./... | benchjson -o BENCH.json
+//
+// A benchmark that appears on several lines (-count N) is folded into
+// the per-metric median of its samples, so one noisy run cannot move
+// the snapshot.
 //
 // Compare mode diffs a new snapshot against a committed baseline:
 //
@@ -117,7 +121,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 //	BenchmarkName-8   12345   77.67 ns/op   64 B/op   1 allocs/op ...
 //
 // i.e. a name, an iteration count, then (value, unit) pairs; custom
-// b.ReportMetric units (events/sec, ...) parse the same way.
+// b.ReportMetric units (events/sec, ...) parse the same way. Repeated
+// lines for one benchmark fold into the median of each metric.
 func parseBench(r io.Reader, note string) (*Snapshot, error) {
 	snap := &Snapshot{
 		Meta: Meta{
@@ -131,6 +136,7 @@ func parseBench(r io.Reader, note string) (*Snapshot, error) {
 		},
 		Benchmarks: make(map[string]map[string]float64),
 	}
+	samples := make(map[string]map[string][]float64)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -146,17 +152,39 @@ func parseBench(r io.Reader, note string) (*Snapshot, error) {
 		if i := strings.LastIndex(name, "-"); i > 0 {
 			name = name[:i] // strip the -GOMAXPROCS suffix
 		}
-		metrics := map[string]float64{"iterations": iters}
+		metrics := samples[name]
+		if metrics == nil {
+			metrics = make(map[string][]float64)
+			samples[name] = metrics
+		}
+		metrics["iterations"] = append(metrics["iterations"], iters)
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				break
 			}
-			metrics[fields[i+1]] = v
+			metrics[fields[i+1]] = append(metrics[fields[i+1]], v)
 		}
-		snap.Benchmarks[name] = metrics
+	}
+	for name, metrics := range samples {
+		folded := make(map[string]float64, len(metrics))
+		for unit, vs := range metrics {
+			folded[unit] = median(vs)
+		}
+		snap.Benchmarks[name] = folded
 	}
 	return snap, sc.Err()
+}
+
+// median returns the middle sample, or the mean of the two middle
+// samples for an even count. It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // cpuModel best-effort reads the CPU model name (linux only).

@@ -44,6 +44,31 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// TestParseBenchFoldsRepeats: -count N prints a benchmark N times; each
+// metric folds into the median of its samples, so one outlier run
+// cannot move the snapshot.
+func TestParseBenchFoldsRepeats(t *testing.T) {
+	const repeated = `pkg: repro/internal/sim
+BenchmarkRing-2   1000   0.60 ns/op   0 B/op   0 allocs/op
+BenchmarkRing-2   1000   0.86 ns/op   0 B/op   0 allocs/op
+BenchmarkRing-2   2000   0.58 ns/op   0 B/op   0 allocs/op
+BenchmarkPair-2   10     100 ns/op   3 allocs/op
+BenchmarkPair-2   30     120 ns/op   5 allocs/op
+`
+	snap, err := parseBench(strings.NewReader(repeated), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := snap.Benchmarks["BenchmarkRing"]
+	if ring["ns/op"] != 0.60 || ring["iterations"] != 1000 || ring["allocs/op"] != 0 {
+		t.Errorf("odd count folded to %v, want the median sample (0.60 ns/op, 1000 iterations)", ring)
+	}
+	pair := snap.Benchmarks["BenchmarkPair"]
+	if pair["ns/op"] != 110 || pair["iterations"] != 20 || pair["allocs/op"] != 4 {
+		t.Errorf("even count folded to %v, want the mean of the middle two", pair)
+	}
+}
+
 // writeSnap renders a snapshot file via the real snapshot code path.
 func writeSnap(t *testing.T, dir, name, benchOut string) string {
 	t.Helper()

@@ -303,7 +303,8 @@ type bounceRec struct {
 // drain. Each is written only by its host's window execution (or by
 // barrier context) and read only at barriers, so no locking is needed;
 // the slices are reset in place to keep the steady state allocation-
-// free.
+// free. Every producer marks the host in the cluster's dirty sets
+// (markDirty, markOcc), so a drain visits only hosts with records.
 type hostOutbox struct {
 	served    []servedRec
 	delivered []*VMHandle
@@ -454,6 +455,11 @@ type Cluster struct {
 	decLog *decision.Log
 	decCtl *decision.Ring
 
+	// Hosts whose outbox holds records for the next barrier drain:
+	// dirty for everything but occupancy, which drainOccupancy flushes
+	// on its own schedule.
+	dirty, occDirty sim.IndexSet
+
 	arrivalRNG  *sim.RNG
 	blackoutRNG *sim.RNG
 	arrivalFn   func() // nextArrival, bound once
@@ -575,6 +581,8 @@ func New(cfg Config) (*Cluster, error) {
 		arrivalRNG:  sim.NewRNG(cfg.Seed ^ 0xc1a57e12),
 		blackoutRNG: sim.NewRNG(cfg.Seed ^ 0xb1ac0a7e),
 		stats:       &workload.ServerStats{Latency: &metrics.Reservoir{}},
+		dirty:       sim.NewIndexSet(cfg.Hosts),
+		occDirty:    sim.NewIndexSet(cfg.Hosts),
 	}
 
 	if cfg.Watch != nil {
@@ -629,6 +637,7 @@ func New(cfg Config) (*Cluster, error) {
 		host.deliverFn = func() { c.deliverNext(host) }
 		if cfg.Spans != nil {
 			host.spans = span.NewTracer()
+			host.spans.OnFinish = func(*span.Span) { c.markDirty(host) }
 		}
 		c.hosts = append(c.hosts, host)
 		if c.watcher != nil {
@@ -677,6 +686,7 @@ func New(cfg Config) (*Cluster, error) {
 			h.checker.Attach(h.eng)
 			h.checker.OnViolation = func(v invariant.Violation) {
 				h.outbox.viols = append(h.outbox.viols, v)
+				c.markDirty(h)
 			}
 		}
 	}
@@ -752,15 +762,25 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// markDirty marks h for the next barrier drain. Every producer into
+// h's outbox except occupancy calls it (served, delivered, bounced,
+// invariant trips, finished spans).
+func (c *Cluster) markDirty(h *Host) { c.dirty.Add(h.ID) }
+
+// markOcc marks h for the next occupancy flush.
+func (c *Cluster) markOcc(h *Host) { c.occDirty.Add(h.ID) }
+
 // drain runs at every barrier, before due barrier tasks: it folds each
-// host's outbox into the control plane in host order — served requests
-// into the latency reservoir, SLO signal, and router bookkeeping;
-// occupancy intervals and invariant trips into the watchdog; finished
-// spans into the minting tracer. Host order then host-local completion
-// order is the canonical merge key, so the result is independent of
-// the order the shards ran in.
+// dirty host's outbox into the control plane in host order — served
+// requests into the latency reservoir, SLO signal, and router
+// bookkeeping; occupancy intervals and invariant trips into the
+// watchdog; finished spans into the minting tracer. Host order then
+// host-local completion order is the canonical merge key, so the
+// result is independent of the order the shards ran in. Hosts that
+// wrote nothing since the last drain are not visited.
 func (c *Cluster) drain(now sim.Time) {
-	for _, h := range c.hosts {
+	for id := c.dirty.Take(-1); id >= 0; id = c.dirty.Take(id) {
+		h := c.hosts[id]
 		ob := &h.outbox
 		for _, hd := range ob.delivered {
 			hd.delivered++
@@ -819,15 +839,14 @@ func (c *Cluster) drain(now sim.Time) {
 	c.decLog.Merge()
 }
 
-// drainOccupancy flushes the hosts' occupancy intervals into the
-// watchdog store. Split out of drain because the watch feed re-syncs
-// occupancy accounting mid-barrier and must flush again before
-// attribution runs (see feedWatcher).
+// drainOccupancy flushes the occupancy intervals of the hosts marked
+// by markOcc into the watchdog store, in host order. Split out of
+// drain because the watch feed re-syncs occupancy accounting
+// mid-barrier and must flush again before attribution runs (see
+// feedWatcher).
 func (c *Cluster) drainOccupancy() {
-	if c.watcher == nil {
-		return
-	}
-	for _, h := range c.hosts {
+	for id := c.occDirty.Take(-1); id >= 0; id = c.occDirty.Take(id) {
+		h := c.hosts[id]
 		for _, r := range h.outbox.occ {
 			c.watcher.AddOccupancy(r.at, h.Name(), r.vm, r.pcpu, r.dur)
 		}
@@ -915,12 +934,13 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 			Threads: hd.Spec.Threads,
 			Service: cfg.Service,
 		}
-		// Each instance gets private stats (ignored); the cluster-level
+		// Instances keep no stats of their own; the cluster-level
 		// reservoir is fed from the served records at barrier drains so
 		// its insertion order cannot depend on shard execution order.
 		inst, gate := workload.NewRemoteServer(kern, spec, gc.Seed^0x5e12e, nil)
 		gate.OnServed = func(lat sim.Time) {
 			host.outbox.served = append(host.outbox.served, servedRec{at: kern.Now(), lat: lat, hd: hd})
+			c.markDirty(host)
 		}
 		hd.inst = inst
 		hd.gate = gate

@@ -134,10 +134,12 @@ func (c *Cluster) deliverReq(hd *VMHandle, host *Host, gate *workload.RemoteGate
 	host.spans.Adopt(req.Span)
 	if gate.SubmitReq(req) {
 		host.outbox.delivered = append(host.outbox.delivered, hd)
+		c.markDirty(host)
 		return
 	}
 	req.Span.Transition(host.eng.Now(), span.CatVMMigr)
 	host.outbox.bounced = append(host.outbox.bounced, bounceRec{hd: hd, req: req})
+	c.markDirty(host)
 }
 
 // flushBuffered re-routes requests held back while no replica was

@@ -37,6 +37,7 @@ func (c *Cluster) wireWatchHost(host *Host, tl *trace.Log) {
 			pcpu: p.Name(),
 			dur:  dur,
 		})
+		c.markOcc(host)
 	})
 	if tl != nil {
 		c.watcher.Recorder().AddHostLog(host.Name(), tl)

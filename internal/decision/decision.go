@@ -276,6 +276,7 @@ type Ring struct {
 	shard   int
 	seq     uint64
 	recs    trace.Ring[Record]
+	log     *Log
 
 	cands  slab[Candidate]
 	inputs slab[KV]
@@ -340,8 +341,8 @@ func (r *Ring) Text(format string, args ...trace.Arg) Text {
 }
 
 // Add appends rec, stamping the ring's shard, chooser, and next
-// sequence number. When the ring is full the oldest record is dropped
-// (and counted).
+// sequence number, and marks the ring for the log's next Merge. When
+// the ring is full the oldest record is dropped (and counted).
 func (r *Ring) Add(rec Record) {
 	if r == nil {
 		return
@@ -350,6 +351,7 @@ func (r *Ring) Add(rec Record) {
 	rec.Chooser = r.chooser
 	rec.Seq = r.seq
 	r.seq++
+	r.log.dirty.Add(r.shard)
 	r.recs.Push(rec)
 }
 
@@ -384,6 +386,7 @@ func (o Options) withDefaults() Options {
 // barriers into one canonically ordered record sequence.
 type Log struct {
 	rings   []*Ring
+	dirty   sim.IndexSet // shards whose ring was written since the last Merge
 	merged  []Record
 	total   int
 	dropped uint64 // records past the Total bound
@@ -398,9 +401,10 @@ func NewLog(shards int, opt Options) *Log {
 			mask |= 1 << uint(k)
 		}
 	}
-	l := &Log{total: opt.Total}
+	l := &Log{total: opt.Total, dirty: sim.NewIndexSet(shards)}
 	for i := 0; i < shards; i++ {
 		l.rings = append(l.rings, &Ring{
+			log:     l,
 			mask:    mask,
 			shard:   i,
 			chooser: fmt.Sprintf("shard%d", i),
@@ -429,11 +433,12 @@ func (l *Log) Label(i int, chooser string) {
 // minMergedGrow is the first allocation of the merged log.
 const minMergedGrow = 1024
 
-// Merge drains every shard ring into the merged log under the
-// canonical key: rings are concatenated in shard index order, then
-// stable-sorted by time — exactly the (time, shard, order) merge the
-// sharded engine applies to cross-shard mail. Called at every barrier
-// (and once after the run), where all shards are parked. The batch is
+// Merge drains the rings written since the last Merge into the merged
+// log under the canonical key: rings are concatenated in shard index
+// order, then stable-sorted by time — exactly the (time, shard, order)
+// merge the sharded engine applies to cross-shard mail. Called at
+// every barrier (and once after the run), where all shards are parked;
+// a barrier with no new records visits no ring. The batch is
 // appended and sorted in place, and the merged log grows by doubling,
 // so a barrier allocates only when the log outgrows its storage.
 // Nil-safe.
@@ -441,26 +446,32 @@ func (l *Log) Merge() {
 	if l == nil {
 		return
 	}
-	n := 0
-	for _, r := range l.rings {
-		n += r.recs.Len()
-	}
-	if n == 0 {
-		return
-	}
-	if need := len(l.merged) + n; need > cap(l.merged) {
-		l.merged = slices.Grow(l.merged, max(need, 2*cap(l.merged), minMergedGrow)-len(l.merged))
-	}
 	start := len(l.merged)
-	for _, r := range l.rings {
+	for i := l.dirty.Take(-1); i >= 0; i = l.dirty.Take(i) {
+		r := l.rings[i]
+		if need := len(l.merged) + r.recs.Len(); need > cap(l.merged) {
+			l.merged = slices.Grow(l.merged, max(need, 2*cap(l.merged), minMergedGrow)-len(l.merged))
+		}
 		l.merged = r.recs.AppendTo(l.merged)
 		r.recs.Reset()
+	}
+	if len(l.merged) == start {
+		return
 	}
 	slices.SortStableFunc(l.merged[start:], func(a, b Record) int { return cmp.Compare(a.At, b.At) })
 	if over := len(l.merged) - l.total; over > 0 {
 		l.dropped += uint64(over)
 		l.merged = append(l.merged[:0], l.merged[over:]...)
 	}
+}
+
+// DirtyRings reports how many rings hold records the next Merge will
+// take: the number of rings it visits. Nil-safe.
+func (l *Log) DirtyRings() int {
+	if l == nil {
+		return 0
+	}
+	return l.dirty.Len()
 }
 
 // Records returns the merged log in canonical order. The slice is the

@@ -6,7 +6,7 @@ package metrics
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -85,7 +85,7 @@ func (r *Reservoir) Percentile(p float64) sim.Time {
 		return 0
 	}
 	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
+		slices.Sort(r.samples)
 		r.sorted = true
 	}
 	rank := int(math.Ceil(p / 100 * float64(len(r.samples))))

@@ -45,8 +45,10 @@ type ShardedEngine struct {
 
 	inWindow bool      // set while shard windows are executing
 	outboxes [][]mail  // per-source-shard cross-shard posts this window
+	posted   IndexSet  // shards that posted this window
 	scratch  []mail    // merge buffer reused across barriers
 	active   []*Engine // shards with events due this window, reused
+	stats    WindowStats
 
 	// order, when set, reorders each window's active shards before they
 	// run. Only tests set it: shard isolation means any order must
@@ -54,6 +56,7 @@ type ShardedEngine struct {
 	order func(active []*Engine)
 
 	tasks   []*barrierTask
+	next    *barrierTask // earliest task by (at, seq), kept by barrier and AtBarrier
 	taskSeq uint64
 
 	onBarrier []func(now Time)
@@ -63,6 +66,16 @@ type ShardedEngine struct {
 	// scheduled in the past) instead of the coordinator panicking; the
 	// offending event is then clamped to the earliest legal time.
 	OnViolation func(name, detail string)
+}
+
+// WindowStats counts the coordinator's work. Each barrier's cost is
+// proportional to these, not to the shard count: deliver visits only
+// the outboxes of shards that posted.
+type WindowStats struct {
+	Windows      uint64 // windows run, one barrier each
+	ActiveShards uint64 // shard-windows with at least one event due
+	Mail         uint64 // cross-shard events delivered at barriers
+	Outboxes     uint64 // source outboxes visited by deliver
 }
 
 // mail is one cross-shard event awaiting delivery at the next barrier.
@@ -96,6 +109,7 @@ func NewSharded(shards int, lookahead Time) *ShardedEngine {
 	s := &ShardedEngine{
 		engines:   make([]*Engine, shards),
 		outboxes:  make([][]mail, shards),
+		posted:    NewIndexSet(shards),
 		lookahead: lookahead,
 	}
 	for i := range s.engines {
@@ -128,6 +142,9 @@ func (s *ShardedEngine) Fired() uint64 {
 	return n
 }
 
+// Stats returns the coordinator's work counters.
+func (s *ShardedEngine) Stats() WindowStats { return s.stats }
+
 // Pending sums the queued events across all shards.
 func (s *ShardedEngine) Pending() int {
 	n := 0
@@ -139,7 +156,8 @@ func (s *ShardedEngine) Pending() int {
 
 // Post schedules fn on shard to at delay from shard from's current
 // time. Called from inside from's window execution it buffers the
-// event in from's outbox for delivery at the next barrier; called from
+// event in from's outbox for delivery at the next barrier and marks
+// from as posted; called from
 // barrier context (every shard parked) it schedules directly. A delay
 // below the lookahead is a violation of the conservative-synchrony
 // contract when posted mid-window — the destination may already have
@@ -155,6 +173,7 @@ func (s *ShardedEngine) Post(from, to int, delay Time, name string, fn func()) {
 		s.engines[to].At(at, name, fn)
 		return
 	}
+	s.posted.Add(from)
 	s.outboxes[from] = append(s.outboxes[from], mail{at: at, to: to, name: name, fn: fn})
 }
 
@@ -184,8 +203,7 @@ func (s *ShardedEngine) AtBarrier(t Time, name string, fn func()) {
 		s.OnViolation("schedule-in-past", detail)
 		t = s.now
 	}
-	s.tasks = append(s.tasks, &barrierTask{at: t, seq: s.taskSeq, fn: fn})
-	s.taskSeq++
+	s.addTask(&barrierTask{at: t, fn: fn})
 }
 
 // EveryBarrier schedules fn as a periodic barrier task, first firing
@@ -200,8 +218,19 @@ func (s *ShardedEngine) EveryBarrier(d Time, name string, fn func()) {
 		s.OnViolation("non-positive-period", detail)
 		return
 	}
-	s.tasks = append(s.tasks, &barrierTask{at: s.now + d, seq: s.taskSeq, period: d, fn: fn})
+	s.addTask(&barrierTask{at: s.now + d, period: d, fn: fn})
+}
+
+// addTask queues bt with the next sequence number. A new task sorts
+// after every queued one at the same time, so it displaces the cached
+// next task only by being strictly earlier.
+func (s *ShardedEngine) addTask(bt *barrierTask) {
+	bt.seq = s.taskSeq
 	s.taskSeq++
+	s.tasks = append(s.tasks, bt)
+	if s.next == nil || bt.at < s.next.at {
+		s.next = bt
+	}
 }
 
 // OnBarrier registers fn to run at every barrier, after mailbox
@@ -231,6 +260,8 @@ func (s *ShardedEngine) nextTask() (*barrierTask, int) {
 // each round every shard executes independently up to
 // min(now+lookahead, next barrier task, horizon), then the barrier
 // exchanges cross-shard mail, runs drain hooks, and runs due tasks.
+// The next task comes from the barrier's own final scan, so the task
+// list is scanned once per window.
 // When every shard is quiet and no mail or task is pending before the
 // horizon it returns ErrDeadlock, mirroring Engine.Run.
 func (s *ShardedEngine) Run(horizon Time) error {
@@ -239,7 +270,7 @@ func (s *ShardedEngine) Run(horizon Time) error {
 		if end > horizon {
 			end = horizon
 		}
-		bt, _ := s.nextTask()
+		bt := s.next
 		if bt == nil && s.Pending() == 0 {
 			return fmt.Errorf("%w at %v (horizon %v)", ErrDeadlock, s.now, horizon)
 		}
@@ -250,6 +281,7 @@ func (s *ShardedEngine) Run(horizon Time) error {
 		}
 		s.runWindow(end)
 		s.now = end
+		s.stats.Windows++
 		s.barrier()
 	}
 	return nil
@@ -272,6 +304,7 @@ func (s *ShardedEngine) runWindow(end Time) {
 		}
 	}
 	s.active = active
+	s.stats.ActiveShards += uint64(len(active))
 	if s.order != nil {
 		s.order(active)
 	}
@@ -284,6 +317,7 @@ func (s *ShardedEngine) runWindow(end Time) {
 
 // barrier exchanges cross-shard mail, runs the drain hooks, then runs
 // every barrier task due at the current time, with every shard parked.
+// The scan that finds no more due tasks leaves the next one for Run.
 func (s *ShardedEngine) barrier() {
 	s.deliver()
 	for _, fn := range s.onBarrier {
@@ -292,7 +326,8 @@ func (s *ShardedEngine) barrier() {
 	for {
 		bt, idx := s.nextTask()
 		if bt == nil || bt.at > s.now {
-			break
+			s.next = bt
+			return
 		}
 		if bt.period > 0 {
 			bt.at += bt.period
@@ -308,23 +343,24 @@ func (s *ShardedEngine) barrier() {
 	}
 }
 
-// deliver merges every outbox and inserts the mail into the
-// destination engines. Concatenating outboxes in shard order and
-// stable-sorting by delivery time yields the canonical total order
-// (time, source shard, post order) — independent of the order the
-// shards ran in. Delivery times are strictly beyond the window just
-// executed (the lookahead guarantees it), so insertion never schedules
-// in a destination's past.
+// deliver merges the outboxes of the shards that posted this window
+// and inserts the mail into the destination engines. Concatenating
+// those outboxes in shard order and stable-sorting by delivery time
+// yields the canonical total order (time, source shard, post order) —
+// independent of the order the shards ran in. Delivery times are
+// strictly beyond the window just executed (the lookahead guarantees
+// it), so insertion never schedules in a destination's past.
 func (s *ShardedEngine) deliver() {
 	all := s.scratch[:0]
-	for i, ob := range s.outboxes {
-		all = append(all, ob...)
-		s.outboxes[i] = ob[:0]
+	for i := s.posted.Take(-1); i >= 0; i = s.posted.Take(i) {
+		all = append(all, s.outboxes[i]...)
+		s.outboxes[i] = s.outboxes[i][:0]
+		s.stats.Outboxes++
 	}
 	if len(all) == 0 {
-		s.scratch = all
 		return
 	}
+	s.stats.Mail += uint64(len(all))
 	slices.SortStableFunc(all, func(a, b mail) int { return cmp.Compare(a.at, b.at) })
 	for i := range all {
 		m := &all[i]

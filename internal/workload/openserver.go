@@ -130,11 +130,13 @@ func (w *openWorker) csDone() {
 func (w *openWorker) finish() {
 	sh, t := w.sh, w.t
 	now := t.Kernel().Now()
-	sh.stats.Requests++
 	lat := now - w.req.Arrival
-	sh.stats.Latency.Add(lat)
-	if el := now - sh.startedAt; el > sh.stats.Elapsed {
-		sh.stats.Elapsed = el
+	if st := sh.stats; st != nil {
+		st.Requests++
+		st.Latency.Add(lat)
+		if el := now - sh.startedAt; el > st.Elapsed {
+			st.Elapsed = el
+		}
 	}
 	if sp := t.Kernel().DetachSpan(t); sp != nil {
 		sp.Finish(now)
