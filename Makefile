@@ -52,17 +52,17 @@ bench-compare:
 # Latency blame attribution smoke run: per-strategy p50/p99/p99.9
 # category breakdowns plus the slowest requests' critical paths.
 blame:
-	$(GO) run ./cmd/irsblame -strategy vanilla,irs -duration 500ms -top 3
+	$(GO) run ./cmd/irs blame -strategy vanilla,irs -duration 500ms -top 3
 
 # Online SLO watchdog smoke run: the bully rig must page within one
 # slow window and attribution must rank the bully first. The incident
 # bundle (JSON + Perfetto trace) lands next to the repo root.
 watch:
-	$(GO) run ./cmd/irswatch -scenario bully -expect-top bully -dump incident
+	$(GO) run ./cmd/irs watch -scenario bully -expect-top bully -dump incident
 
 # Telemetry smoke run: summary + all three exports for vanilla vs IRS.
 report:
-	$(GO) run ./cmd/irsreport -bench streamcluster -strategy vanilla,irs -inter 1
+	$(GO) run ./cmd/irs report -bench streamcluster -strategy vanilla,irs -inter 1
 
 # Short fuzz pass over the committed seed corpora plus a few seconds of
 # fresh exploration per target.
@@ -80,11 +80,11 @@ fuzz-smoke:
 # defense; the gate fails unless jittered ticks + exact accounting
 # together hold the attacker within 5% of its fair share.
 attack:
-	$(GO) run ./cmd/irsim -attack tick-evade -expect-overshoot 1.05
+	$(GO) run ./cmd/irs attack tick-evade -expect-overshoot 1.05
 
 # Robustness sweep: fault rates vs strategies with invariant audits.
 chaos:
-	$(GO) run ./cmd/irsim -runs 1 chaos
+	$(GO) run ./cmd/irs sim -runs 1 chaos
 
 # Sharded-simulation gate: the window coordinator and the cluster must
 # be data-race free, and the simulation must be byte-identical whatever
@@ -98,7 +98,7 @@ scale:
 # fails over, every request is conserved, the invariants stay clean,
 # and the post-recovery SLO-violation rate is below 1%.
 scale-sweep:
-	$(GO) run ./cmd/irsload -variant 2z8h-outage -expect 1.0
+	$(GO) run ./cmd/irs load -variant 2z8h-outage -expect 1.0
 
 # Decision-provenance smoke run: replay the outage rig with the audit
 # log attached and gate on the exact decision trail (cordon, the first
@@ -106,7 +106,7 @@ scale-sweep:
 # next to the repo root as decisions.json, and as a Perfetto trace in
 # decisions.trace.json.
 why:
-	$(GO) run ./cmd/irswhy -expect cordon,failover,scale-up,scale-up,drain,drain -json decisions.json -perfetto decisions.trace.json
+	$(GO) run ./cmd/irs why -expect cordon,failover,scale-up,scale-up,drain,drain -json decisions.json -perfetto decisions.trace.json
 
 # Compile and run every example end to end (each also has a unit test
 # exercising its run() body, picked up by `make test`).

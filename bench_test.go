@@ -5,7 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the entire evaluation. Figures with large matrices run
-// one simulated repetition per data point (pass -runs via irsim for
+// one simulated repetition per data point (pass -runs via `irs sim` for
 // the averaged version).
 package repro
 

@@ -292,13 +292,6 @@ type occRec struct {
 	dur  sim.Time
 }
 
-// bounceRec is a request that reached its host after the target gate
-// sealed for a migration switchover; the barrier drain re-routes it.
-type bounceRec struct {
-	hd  *VMHandle
-	req workload.Request
-}
-
 // hostOutbox buffers a host shard's observations for the barrier
 // drain. Each is written only by its host's window execution (or by
 // barrier context) and read only at barriers, so no locking is needed;
@@ -308,7 +301,6 @@ type bounceRec struct {
 type hostOutbox struct {
 	served    []servedRec
 	delivered []*VMHandle
-	bounced   []bounceRec
 	occ       []occRec
 	viols     []invariant.Violation
 }
@@ -763,8 +755,8 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // markDirty marks h for the next barrier drain. Every producer into
-// h's outbox except occupancy calls it (served, delivered, bounced,
-// invariant trips, finished spans).
+// h's outbox except occupancy calls it (served, delivered, invariant
+// trips, finished spans).
 func (c *Cluster) markDirty(h *Host) { c.dirty.Add(h.ID) }
 
 // markOcc marks h for the next occupancy flush.
@@ -786,18 +778,6 @@ func (c *Cluster) drain(now sim.Time) {
 			hd.delivered++
 		}
 		ob.delivered = ob.delivered[:0]
-		for _, b := range ob.bounced {
-			b.hd.delivered++
-			if b.hd.gate != nil && !b.hd.gate.Closed() {
-				// The VM already restarted elsewhere; hand the request
-				// straight to the live generation.
-				b.hd.host.spans.Adopt(b.req.Span)
-				b.hd.gate.SubmitReq(b.req)
-			} else {
-				b.hd.carried = append(b.hd.carried, b.req)
-			}
-		}
-		ob.bounced = ob.bounced[:0]
 		for _, r := range ob.served {
 			r.hd.servedSeen++
 			c.stats.Requests++

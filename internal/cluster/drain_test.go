@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/decision"
@@ -66,11 +68,12 @@ func TestIdleBarrierDrainsNothing(t *testing.T) {
 	}
 }
 
-// TestBounceDrainsAtNextBarrier forces the bounce path: a request is
-// routed, its target gate seals before it lands, and it bounces into
-// the host's outbox. The host is dirty until the next drain, which
-// hands the request to the migration's carried set.
-func TestBounceDrainsAtNextBarrier(t *testing.T) {
+// TestSealedGateDeliveryPanics pins the delivery contract: no gate
+// seals while a request routed to it is in transit, so a request that
+// lands on a sealed gate is a broken invariant, not a case to recover
+// from. The test seals the target gate by hand between routing and
+// delivery, which no configuration does.
+func TestSealedGateDeliveryPanics(t *testing.T) {
 	c := routeRig(t, nil)
 	c.drain(c.sh.Now())
 	routed := map[*VMHandle]int64{}
@@ -87,19 +90,17 @@ func TestBounceDrainsAtNextBarrier(t *testing.T) {
 	if target == nil {
 		t.Fatal("route picked no replica")
 	}
-	target.carried = append(target.carried, target.gate.Close()...)
-	carried := len(target.carried)
+	target.gate.Close()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("delivery to a sealed gate did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "after its gate sealed") || !strings.Contains(msg, target.host.Name()) {
+			t.Fatalf("panic %q does not name the sealed gate's host", msg)
+		}
+	}()
 	target.host.deliverFn()
-	if d := members(c.dirty); !slices.Equal(d, []int{target.host.ID}) {
-		t.Fatalf("dirty hosts %v after a bounce on %s, want [%d]", d, target.host.Name(), target.host.ID)
-	}
-	c.drain(c.sh.Now())
-	if d := members(c.dirty); len(d) != 0 {
-		t.Fatalf("dirty hosts %v after the drain, want none", d)
-	}
-	if got := len(target.carried); got != carried+1 {
-		t.Fatalf("carried %d requests after the bounce drained, want %d", got, carried+1)
-	}
 }
 
 // TestBarrierOccupancyFlushedByFeed: occupancy a host emits in barrier

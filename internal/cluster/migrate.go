@@ -134,7 +134,8 @@ func (c *Cluster) maybeMigrate() {
 
 // startMigration runs the pre-copy phase, then the switchover. The copy
 // runs for at least one transit latency so every request routed before
-// the cordon has landed (or bounced) by the time the gate seals.
+// the cordon has landed by the time the gate seals (deliverReq panics
+// otherwise).
 func (c *Cluster) startMigration(hd *VMHandle, dest *Host) {
 	hd.migrating = true // cordons the VM: router stops feeding it
 	now := c.sh.Now()

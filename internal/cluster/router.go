@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"fmt"
+
 	"repro/internal/decision"
 	"repro/internal/sim"
-	"repro/internal/span"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -126,19 +127,19 @@ func (c *Cluster) deliverNext(host *Host) {
 }
 
 // deliverReq lands one routed request on its host shard. The gate is
-// the one that was live at routing time; if a migration sealed it while
-// the request was in transit, the request bounces through the outbox
-// and the next barrier re-routes it to the successor instance (or into
-// the migration's carried set). Runs on host's shard.
+// the one that was live at routing time, and it must still be open: a
+// migration's copy phase lasts at least one lookahead and the
+// autoscaler seals a replica only after its in-transit requests land,
+// so no gate seals while a request routed to it is in transit. A
+// refused submit means that contract broke, so it panics rather than
+// losing the request. Runs on host's shard.
 func (c *Cluster) deliverReq(hd *VMHandle, host *Host, gate *workload.RemoteGate, req workload.Request) {
 	host.spans.Adopt(req.Span)
-	if gate.SubmitReq(req) {
-		host.outbox.delivered = append(host.outbox.delivered, hd)
-		c.markDirty(host)
-		return
+	if !gate.SubmitReq(req) {
+		panic(fmt.Sprintf("cluster: request for %s reached %s at %v after its gate sealed; no gate may seal while a request routed to it is in transit",
+			hd.Spec.Name, host.Name(), host.eng.Now()))
 	}
-	req.Span.Transition(host.eng.Now(), span.CatVMMigr)
-	host.outbox.bounced = append(host.outbox.bounced, bounceRec{hd: hd, req: req})
+	host.outbox.delivered = append(host.outbox.delivered, hd)
 	c.markDirty(host)
 }
 

@@ -22,7 +22,7 @@ import (
 // the two accounting defenses (jittered tick sampling and exact
 // runstate-based debiting).
 
-// Attack rig knobs, shared with cmd/irsim and cmd/irsweep.
+// Attack rig knobs, shared with `irs attack`.
 const (
 	// DefaultAttackDuration is the victim's request-stream duration;
 	// the run ends when the stream completes.

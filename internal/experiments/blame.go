@@ -20,7 +20,7 @@ import (
 // lock-holder-preemption spinning; IRS shifts the blame back to service
 // time, which is the work the tenant actually asked for.
 
-// Default bully-workload knobs, shared with cmd/irsblame.
+// Default bully-workload knobs, shared with `irs blame`.
 const (
 	DefaultBlameDuration = 2 * sim.Second
 	DefaultBlameArrival  = 500 * sim.Microsecond
@@ -39,16 +39,6 @@ func BlameVariants() []BlameVariant {
 		{Name: "ple", Strat: core.StrategyPLE},
 		{Name: "irs", Strat: core.StrategyIRS},
 	}
-}
-
-// BlameVariantByName resolves a variant by its table name.
-func BlameVariantByName(name string) (BlameVariant, bool) {
-	for _, v := range BlameVariants() {
-		if v.Name == name {
-			return v, true
-		}
-	}
-	return BlameVariant{}, false
 }
 
 // BlameScenario builds the bully rig: a 4-vCPU open-loop server VM

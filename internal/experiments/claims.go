@@ -11,7 +11,7 @@ import (
 
 // A Claim is one falsifiable statement from the paper, paired with a
 // programmatic check against the simulator. Together the claims form a
-// machine-checkable summary of the reproduction: `irsim claims` (or
+// machine-checkable summary of the reproduction: `irs sim claims` (or
 // TestPaperClaims) evaluates every one and reports which hold.
 type Claim struct {
 	ID        string

@@ -13,7 +13,7 @@ import (
 // ClusterVariant is one row of the cluster experiment: a placement
 // policy paired with the per-host scheduling strategy, optional live
 // migration, and optional chaos (control-plane faults + host
-// blackouts). Exported so cmd/irsweep can sweep the same variants over
+// blackouts). Exported so `irs sweep` can sweep the same variants over
 // different rack shapes.
 type ClusterVariant struct {
 	Name      string

@@ -65,23 +65,34 @@ func TestObservabilityExportDigests(t *testing.T) {
 		}
 		return
 	}
+	sums, names := readDigests(t, path)
+	if len(names) != len(got) {
+		t.Fatalf("%s has %d digests, want %d", path, len(names), len(got))
+	}
+	for i, name := range names {
+		if got[name] != sums[i] {
+			t.Errorf("%s digest %s, want %s", name, got[name], sums[i])
+		}
+	}
+}
+
+// readDigests reads a sha256sum-style file: one "<digest>  <name>" per
+// line, returned in file order.
+func readDigests(t *testing.T, path string) (sums, names []string) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("no digests (run with -update to create): %v", err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != len(got) {
-		t.Fatalf("%s has %d digests, want %d", path, len(lines), len(got))
-	}
-	for _, line := range lines {
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		sum, name, ok := strings.Cut(line, "  ")
 		if !ok {
 			t.Fatalf("malformed digest line %q", line)
 		}
-		if got[name] != sum {
-			t.Errorf("%s digest %s, want %s", name, got[name], sum)
-		}
+		sums = append(sums, sum)
+		names = append(names, name)
 	}
+	return sums, names
 }
 
 // runObserved runs the rig RunWhy runs, with every decision kind and a

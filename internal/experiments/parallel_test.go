@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -60,24 +65,45 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAllParallelMatchesSerial runs the full paper-figure set both ways
-// and compares the concatenated renderings byte for byte. Expensive
-// (about two serial `irsim -runs 1 all` passes), so -short skips it;
-// the subset test above covers every job shape on every run.
+// TestAllParallelMatchesSerial renders the full paper-figure set with
+// four workers and checks it, table by table, against
+// testdata/all.sha256: one SHA-256 per table of the serial render. The
+// serial path itself stays pinned by TestParallelMatchesSerial and the
+// goldens, so one parallel pass stands in for a serial+parallel pair,
+// and a drift that hits both paths alike fails here too. Expensive
+// (one `irs sim -runs 1 all`-sized pass), so -short skips it.
+// Regenerate an intended change from a serial render with:
+//
+//	go test ./internal/experiments -run TestAllParallelMatchesSerial -update
 func TestAllParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full experiments.All determinism sweep in -short mode")
 	}
-	render := func(tables []Table) string {
-		var s string
-		for _, tb := range tables {
-			s += tb.String() + "\n"
-		}
-		return s
+	path := filepath.Join("testdata", "all.sha256")
+	tableDigest := func(tb Table) string {
+		return digest(t, func(w io.Writer) error {
+			_, err := io.WriteString(w, tb.String())
+			return err
+		})
 	}
-	serial := render(All(detOpt(1)))
-	par := render(All(detOpt(4)))
-	if par != serial {
-		t.Errorf("experiments.All parallel output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, par)
+	if *update {
+		var b strings.Builder
+		for _, tb := range All(detOpt(1)) {
+			fmt.Fprintf(&b, "%s  %s\n", tableDigest(tb), tb.ID)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	sums, ids := readDigests(t, path)
+	tables := All(detOpt(4))
+	if len(tables) != len(ids) {
+		t.Fatalf("experiments.All rendered %d tables, %s has %d", len(tables), path, len(ids))
+	}
+	for i, tb := range tables {
+		if tb.ID != ids[i] || tableDigest(tb) != sums[i] {
+			t.Fatalf("table %d (%s) of the 4-worker render differs from the serial digest for %s:\n%s", i, tb.ID, ids[i], tb)
+		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 // mid-ramp outage of zone 1 (1.2s dark at t=6s) while the arrival rate
 // ramps up; the burn-rate alert trips, the autoscaler adds replicas in
 // the surviving zone, and after the zone returns the added replicas
-// drain away again. Shared with cmd/irsload and the CI smoke gate.
+// drain away again. Shared with `irs load` and the CI smoke gate.
 const ScaleOutageSpec = "topo:zones=2,hosts=8,pcpus=4; sched:policy=ia,strategy=irs,migrate=on; " +
 	"load:arrival=1500us,service=2ms,slo=25ms,duration=12s,drain=3s; " +
 	"ramp:1500us@0,1ms@2s,450us@4s; " +
@@ -86,19 +86,12 @@ func ScaleConfig(spec topology.LoadSpec, seed uint64) (cluster.Config, error) {
 	default:
 		return cluster.Config{}, fmt.Errorf("experiments: scale: unknown policy %q", spec.Policy)
 	}
-	switch spec.Strategy {
-	case "vanilla":
-		cfg.Strategy = hypervisor.StrategyVanilla
-	case "ple":
-		cfg.Strategy = hypervisor.StrategyPLE
-	case "relaxed-co":
-		cfg.Strategy = hypervisor.StrategyRelaxedCo
-	case "irs":
-		cfg.Strategy = hypervisor.StrategyIRS
-		cfg.IRS = true
-	default:
-		return cluster.Config{}, fmt.Errorf("experiments: scale: unknown strategy %q", spec.Strategy)
+	strat, err := hypervisor.ParseStrategy(spec.Strategy)
+	if err != nil {
+		return cluster.Config{}, fmt.Errorf("experiments: scale: %v", err)
 	}
+	cfg.Strategy = strat
+	cfg.IRS = strat == hypervisor.StrategyIRS
 
 	cfg.Overcommit = spec.Overcommit
 	cfg.Migration = spec.Migrate

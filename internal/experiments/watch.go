@@ -19,7 +19,7 @@ import (
 // quiet variant pins the other half of the contract: no contention, no
 // alerts, no incidents.
 
-// Watchdog rig knobs, shared with cmd/irswatch.
+// Watchdog rig knobs, shared with `irs watch`.
 const (
 	// DefaultWatchDuration is the request-stream duration; the bully
 	// lands at WatchBullyArrive, leaving several slow windows of
@@ -112,7 +112,7 @@ func DefaultWatchRuleSet() []watch.Rule {
 }
 
 // NewWatchCluster builds the watchdog rig for one variant with the
-// default knobs. cmd/irswatch layers its flag overrides on top of
+// default knobs. `irs watch` layers its flag overrides on top of
 // WatchConfig directly.
 func NewWatchCluster(v WatchVariant, seed uint64) (*cluster.Cluster, error) {
 	return cluster.New(WatchConfig(v, seed, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval))

@@ -16,16 +16,12 @@ import (
 // first failover route, each autoscaler action — with the inputs and
 // winning margins each choice had at the instant it was made, plus a
 // summary row counting every recorded decision. The trail is exact;
-// cmd/irswhy gates CI on it.
+// `irs why` gates CI on it.
 
-// RunWhy executes a cluster load spec with the decision log attached
-// (recording the given kinds) and returns the finished cluster.
-// Shared by the why table and cmd/irswhy.
-func RunWhy(specText string, kinds []decision.Kind, seed uint64) (*cluster.Cluster, error) {
-	spec, err := topology.ParseLoadSpec(specText)
-	if err != nil {
-		return nil, err
-	}
+// RunWhy executes a parsed cluster load spec with the decision log
+// attached (recording the given kinds) and returns the finished
+// cluster. Shared by the why table and `irs why`.
+func RunWhy(spec topology.LoadSpec, kinds []decision.Kind, seed uint64) (*cluster.Cluster, error) {
 	cfg, err := ScaleConfig(spec, seed)
 	if err != nil {
 		return nil, err
@@ -71,7 +67,11 @@ func whyTable(h *harness) Table {
 // whyCell runs the rig and renders the trail rows plus the Σ summary.
 // Pure function of its arguments; safe on worker goroutines.
 func whyCell(seed uint64) whyOut {
-	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), seed)
+	spec, err := topology.ParseLoadSpec(ScaleOutageSpec)
+	if err != nil {
+		return whyOut{errStr: err.Error()}
+	}
+	c, err := RunWhy(spec, decision.ControlKinds(), seed)
 	if err != nil {
 		return whyOut{errStr: err.Error()}
 	}

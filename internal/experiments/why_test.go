@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/decision"
+	"repro/internal/topology"
 )
 
 // TestWhyTrailExactSequence pins the acceptance criterion: the 2z8h
@@ -12,7 +13,11 @@ import (
 // two drains after recovery. Anything more (a spurious scale event, a
 // failover before the cordon) or less (a missed record) fails here.
 func TestWhyTrailExactSequence(t *testing.T) {
-	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), 1)
+	spec, err := topology.ParseLoadSpec(ScaleOutageSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := RunWhy(spec, decision.ControlKinds(), 1)
 	if err != nil {
 		t.Fatalf("RunWhy: %v", err)
 	}

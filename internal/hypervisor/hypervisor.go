@@ -49,6 +49,17 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy is the inverse of Strategy.String: it resolves a
+// strategy by its name.
+func ParseStrategy(name string) (Strategy, error) {
+	for s := StrategyVanilla; s <= StrategyStrictCo; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (valid: vanilla, ple, relaxed-co, irs, strict-co)", name)
+}
+
 // Config holds hypervisor tunables. DefaultConfig matches the paper's
 // Xen 4.5 credit-scheduler setup.
 type Config struct {

@@ -79,7 +79,7 @@ func quantileLabels(l Labels, q string) string {
 
 // WriteCSVTable writes one header row followed by rows through a
 // shared csv.Writer. Every CSV surface of the repo (sampler exports,
-// irsblame -csv) funnels through here so quoting and flushing behave
+// irs blame -csv) funnels through here so quoting and flushing behave
 // identically everywhere.
 func WriteCSVTable(w io.Writer, header []string, rows [][]string) error {
 	cw := csv.NewWriter(w)

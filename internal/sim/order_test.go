@@ -220,9 +220,9 @@ func decisionRig(t *testing.T, order func([]*sim.Engine)) (string, uint64) {
 // after that barrier's drain: the watch epoch re-syncs occupancy into
 // the host outboxes (feedWatcher), and placement, migration, cordon
 // and autoscale decisions land on the control ring between merges.
-// (No configuration reaches the bounce path — a migration's copy phase
-// outlasts every transit — so cluster's TestBounceDrainsAtNextBarrier
-// forces it directly.) The output is the result table, the decision
+// (No gate seals while a request routed to it is in transit — a
+// migration's copy phase outlasts every transit — and cluster's
+// TestSealedGateDeliveryPanics pins that contract.) The output is the result table, the decision
 // log, the span export and the alerts.
 func clusterRig(t *testing.T, order func([]*sim.Engine)) (string, uint64) {
 	t.Helper()

@@ -14,7 +14,7 @@ import (
 )
 
 // LoadSpec is the declarative cluster-load specification driving the
-// scale experiment and cmd/irsload — this repo's clusterloader2: one
+// scale experiment and `irs load` — this repo's clusterloader2: one
 // text blob describes the rack shape, the scheduling stack, the
 // request load curve (flat, staged ramp, or diurnal), the tenant mix,
 // injected zone outages, the burn-rate alert rule, and the replica

@@ -1,6 +1,6 @@
 // Package trace records scheduling events from the hypervisor and
 // guest kernels into a bounded in-memory log, for debugging scenarios
-// and for rendering execution timelines (cmd/irstrace, Perfetto).
+// and for rendering execution timelines (`irs trace`, Perfetto).
 // Tracing is optional: components emit events only when a *Log is
 // attached. The package also holds the two pieces every observability
 // log shares: the bounded Ring and the Chrome Trace Event Format
