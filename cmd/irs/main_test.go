@@ -23,80 +23,18 @@ func runCmd(t *testing.T, args ...string) (int, string, string) {
 	return code, out.String(), errOut.String()
 }
 
-// TestBadInputs pins every subcommand's usage and input errors: bad
-// flags, specs and names exit 2, failed runs and gates exit 1, and the
-// message names the problem where it says more than the flag package.
-func TestBadInputs(t *testing.T) {
-	dir := t.TempDir()
-	cases := []struct {
-		name   string
-		args   []string
-		code   int
-		stderr string
-	}{
-		{"unknown subcommand", []string{"frob"}, 2, `unknown subcommand "frob"`},
-		{"bad global flag", []string{"-nonsense", "sim", "list"}, 2, ""},
-		{"unwritable cpuprofile", []string{"-cpuprofile", "/nonexistent-dir/cpu.pprof", "sim", "list"}, 1, "-cpuprofile"},
+// badInput is one usage or input error case: bad flags, specs and
+// names exit 2, failed runs and gates exit 1, and stderr carries the
+// fragment where the message says more than the flag package.
+type badInput struct {
+	name   string
+	args   []string
+	code   int
+	stderr string
+}
 
-		{"sim no ids", []string{"sim"}, 2, "usage: irs sim"},
-		{"sim bad flag", []string{"sim", "-nonsense"}, 2, ""},
-		{"sim unknown experiment", []string{"sim", "fig99"}, 1, "unknown experiment"},
-
-		{"sweep bad flag", []string{"sweep", "-nonsense"}, 2, ""},
-		{"sweep bad inter", []string{"sweep", "-inter", "1,x"}, 2, ""},
-		{"sweep negative inter", []string{"sweep", "-inter", "-3"}, 2, ""},
-		{"sweep bad mode", []string{"sweep", "-mode", "busy"}, 2, ""},
-		{"sweep bad hosts", []string{"sweep", "-cluster", "-hosts", "two"}, 2, ""},
-		{"sweep zero zones", []string{"sweep", "-cluster", "-zones", "0"}, 2, ""},
-		{"sweep stray argument", []string{"sweep", "extra"}, 2, `unexpected argument "extra"`},
-		{"sweep unknown bench", []string{"sweep", "-bench", "nosuchbench"}, 1, ""},
-
-		{"attack no spec", []string{"attack"}, 2, "usage: irs attack"},
-		{"attack bad spec", []string{"attack", "frobnicate"}, 2, ""},
-		{"attack zero spec", []string{"attack", "none"}, 2, "names no attackers"},
-		{"attack all-zero specs", []string{"attack", "none;off"}, 2, "names no attackers"},
-		{"attack two arguments", []string{"attack", "tick-evade", "fig1a"}, 2, ""},
-
-		{"report bad flag", []string{"report", "-nonsense"}, 2, ""},
-		{"report bad faults", []string{"report", "-faults", "bogus=1"}, 2, ""},
-		{"report unknown strategy", []string{"report", "-strategy", "fifo"}, 2, ""},
-		{"report empty strategy list", []string{"report", "-strategy", ""}, 2, ""},
-		{"report unknown bench", []string{"report", "-bench", "nosuchbench"}, 1, ""},
-
-		{"trace bad flag", []string{"trace", "-nonsense"}, 2, ""},
-		{"trace unknown strategy", []string{"trace", "-strategy", "fifo"}, 2, ""},
-		{"trace two strategies", []string{"trace", "-strategy", "vanilla,irs"}, 2, "one strategy"},
-		{"trace bad kinds", []string{"trace", "-kinds", "bogus"}, 2, ""},
-		{"trace unknown bench", []string{"trace", "-bench", "nosuchbench"}, 1, ""},
-
-		{"blame unknown strategy", []string{"blame", "-strategy", "nope"}, 2, ""},
-		{"blame empty strategy list", []string{"blame", "-strategy", ""}, 2, ""},
-		{"blame bad flag", []string{"blame", "-frobnicate"}, 2, ""},
-		{"blame unwritable perfetto path", []string{"blame", "-duration", "50ms", "-strategy", "vanilla", "-perfetto", "/nonexistent-dir/x.json"}, 1, ""},
-		{"blame unwritable csv path", []string{"blame", "-duration", "50ms", "-strategy", "vanilla", "-csv", "/nonexistent-dir/x.csv"}, 1, ""},
-
-		{"watch unknown scenario", []string{"watch", "-scenario", "nope"}, 2, ""},
-		{"watch bad flag", []string{"watch", "-frobnicate"}, 2, ""},
-		{"watch bad rules", []string{"watch", "-rules", "page:budget=2"}, 2, ""},
-		{"watch empty rules", []string{"watch", "-rules", ";;"}, 2, ""},
-		{"watch dump without incident", []string{"watch", "-scenario", "quiet", "-duration", "2s", "-dump", dir + "/x"}, 1, ""},
-		// The -expect-top gate's failure case.
-		{"watch expect-top without alert", []string{"watch", "-scenario", "quiet", "-duration", "2s", "-expect-top", "bully"}, 1, "none fired"},
-
-		{"load bad flag", []string{"load", "-nonsense"}, 2, ""},
-		{"load no spec source", []string{"load"}, 2, "exactly one of"},
-		{"load two sources", []string{"load", "-variant", "x", "-spec", "topo:zones=1,hosts=1"}, 2, "exactly one of"},
-		{"load unknown variant", []string{"load", "-variant", "nosuchrig"}, 2, ""},
-		{"load invalid spec", []string{"load", "-spec", "topo:zones=0"}, 2, ""},
-		{"load missing file", []string{"load", "-file", "/nonexistent.load"}, 2, ""},
-
-		{"why bad flag", []string{"why", "-nonsense"}, 2, ""},
-		{"why unknown variant", []string{"why", "-variant", "nosuchrig"}, 2, ""},
-		{"why two sources", []string{"why", "-variant", "1z4h", "-spec", "topo:zones=1,hosts=1"}, 2, "exactly one of"},
-		{"why invalid spec", []string{"why", "-spec", "topo:zones=0"}, 2, ""},
-		{"why unknown kind", []string{"why", "-kinds", "bogus"}, 2, ""},
-		{"why malformed query", []string{"why", "-q", "kind=place kind=x"}, 2, ""},
-	}
+func checkBadInputs(t *testing.T, cases []badInput) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, errOut := runCmd(t, tc.args...)
@@ -108,6 +46,112 @@ func TestBadInputs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBadInputs pins the front end's own errors, before any subcommand
+// parses its flags.
+func TestBadInputs(t *testing.T) {
+	checkBadInputs(t, []badInput{
+		{"unknown subcommand", []string{"frob"}, 2, `unknown subcommand "frob"`},
+		{"bad global flag", []string{"-nonsense", "sim", "list"}, 2, ""},
+		{"unwritable cpuprofile", []string{"-cpuprofile", "/nonexistent-dir/cpu.pprof", "sim", "list"}, 1, "-cpuprofile"},
+	})
+}
+
+func TestSimBadInputs(t *testing.T) {
+	checkBadInputs(t, []badInput{
+		{"no ids", []string{"sim"}, 2, "usage: irs sim"},
+		{"bad flag", []string{"sim", "-nonsense"}, 2, ""},
+		{"unknown experiment", []string{"sim", "fig99"}, 1, "unknown experiment"},
+	})
+}
+
+func TestSweepBadInputs(t *testing.T) {
+	checkBadInputs(t, []badInput{
+		{"bad flag", []string{"sweep", "-nonsense"}, 2, ""},
+		{"bad inter", []string{"sweep", "-inter", "1,x"}, 2, ""},
+		{"negative inter", []string{"sweep", "-inter", "-3"}, 2, ""},
+		{"bad mode", []string{"sweep", "-mode", "busy"}, 2, ""},
+		{"bad hosts", []string{"sweep", "-cluster", "-hosts", "two"}, 2, ""},
+		{"zero zones", []string{"sweep", "-cluster", "-zones", "0"}, 2, ""},
+		{"stray argument", []string{"sweep", "extra"}, 2, `unexpected argument "extra"`},
+		{"unknown bench", []string{"sweep", "-bench", "nosuchbench"}, 1, ""},
+	})
+}
+
+func TestAttackBadInputs(t *testing.T) {
+	checkBadInputs(t, []badInput{
+		{"no spec", []string{"attack"}, 2, "usage: irs attack"},
+		{"bad spec", []string{"attack", "frobnicate"}, 2, ""},
+		{"zero spec", []string{"attack", "none"}, 2, "names no attackers"},
+		{"all-zero specs", []string{"attack", "none;off"}, 2, "names no attackers"},
+		{"two arguments", []string{"attack", "tick-evade", "fig1a"}, 2, ""},
+	})
+}
+
+func TestReportBadInputs(t *testing.T) {
+	checkBadInputs(t, []badInput{
+		{"bad flag", []string{"report", "-nonsense"}, 2, ""},
+		{"bad faults", []string{"report", "-faults", "bogus=1"}, 2, ""},
+		{"unknown strategy", []string{"report", "-strategy", "fifo"}, 2, ""},
+		{"empty strategy list", []string{"report", "-strategy", ""}, 2, ""},
+		{"unknown bench", []string{"report", "-bench", "nosuchbench"}, 1, ""},
+	})
+}
+
+func TestTraceBadInputs(t *testing.T) {
+	checkBadInputs(t, []badInput{
+		{"bad flag", []string{"trace", "-nonsense"}, 2, ""},
+		{"unknown strategy", []string{"trace", "-strategy", "fifo"}, 2, ""},
+		{"two strategies", []string{"trace", "-strategy", "vanilla,irs"}, 2, "one strategy"},
+		{"bad kinds", []string{"trace", "-kinds", "bogus"}, 2, ""},
+		{"unknown bench", []string{"trace", "-bench", "nosuchbench"}, 1, ""},
+	})
+}
+
+func TestBlameBadInputs(t *testing.T) {
+	checkBadInputs(t, []badInput{
+		{"unknown strategy", []string{"blame", "-strategy", "nope"}, 2, ""},
+		{"empty strategy list", []string{"blame", "-strategy", ""}, 2, ""},
+		{"bad flag", []string{"blame", "-frobnicate"}, 2, ""},
+		{"unwritable perfetto path", []string{"blame", "-duration", "50ms", "-strategy", "vanilla", "-perfetto", "/nonexistent-dir/x.json"}, 1, ""},
+		{"unwritable csv path", []string{"blame", "-duration", "50ms", "-strategy", "vanilla", "-csv", "/nonexistent-dir/x.csv"}, 1, ""},
+	})
+}
+
+func TestWatchBadInputs(t *testing.T) {
+	dir := t.TempDir()
+	checkBadInputs(t, []badInput{
+		{"unknown scenario", []string{"watch", "-scenario", "nope"}, 2, ""},
+		{"bad flag", []string{"watch", "-frobnicate"}, 2, ""},
+		{"bad rules", []string{"watch", "-rules", "page:budget=2"}, 2, ""},
+		{"empty rules", []string{"watch", "-rules", ";;"}, 2, ""},
+		{"dump without incident", []string{"watch", "-scenario", "quiet", "-duration", "2s", "-dump", dir + "/x"}, 1, ""},
+		// The -expect-top gate's failure case.
+		{"expect-top without alert", []string{"watch", "-scenario", "quiet", "-duration", "2s", "-expect-top", "bully"}, 1, "none fired"},
+	})
+}
+
+func TestLoadBadInputs(t *testing.T) {
+	checkBadInputs(t, []badInput{
+		{"bad flag", []string{"load", "-nonsense"}, 2, ""},
+		{"no spec source", []string{"load"}, 2, "exactly one of"},
+		{"two sources", []string{"load", "-variant", "x", "-spec", "topo:zones=1,hosts=1"}, 2, "exactly one of"},
+		{"unknown variant", []string{"load", "-variant", "nosuchrig"}, 2, ""},
+		{"invalid spec", []string{"load", "-spec", "topo:zones=0"}, 2, ""},
+		{"missing file", []string{"load", "-file", "/nonexistent.load"}, 2, ""},
+	})
+}
+
+func TestWhyBadInputs(t *testing.T) {
+	checkBadInputs(t, []badInput{
+		{"bad flag", []string{"why", "-nonsense"}, 2, ""},
+		{"unknown variant", []string{"why", "-variant", "nosuchrig"}, 2, ""},
+		{"two sources", []string{"why", "-variant", "1z4h", "-spec", "topo:zones=1,hosts=1"}, 2, "exactly one of"},
+		{"invalid spec", []string{"why", "-spec", "topo:zones=0"}, 2, ""},
+		{"unknown kind", []string{"why", "-kinds", "bogus"}, 2, ""},
+		{"malformed query", []string{"why", "-q", "kind=place kind=x"}, 2, ""},
+	})
 }
 
 func TestNoArgsIsUsageError(t *testing.T) {
@@ -521,19 +565,24 @@ func TestBullyBundleDigest(t *testing.T) {
 	}
 }
 
-func TestListPrintsVariants(t *testing.T) {
-	for _, sub := range []string{"load", "why"} {
-		code, out, _ := runCmd(t, sub, "-list")
-		if code != 0 {
-			t.Fatalf("%s -list exited %d", sub, code)
-		}
-		for _, want := range []string{"1z4h", "2z4h-diurnal", "2z8h-outage"} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("%s -list output missing %q:\n%s", sub, want, out)
-			}
+// checkListPrintsVariants: the -list path shared by `irs load` and
+// `irs why` names every built-in rig.
+func checkListPrintsVariants(t *testing.T, sub string) {
+	t.Helper()
+	code, out, _ := runCmd(t, sub, "-list")
+	if code != 0 {
+		t.Fatalf("%s -list exited %d", sub, code)
+	}
+	for _, want := range []string{"1z4h", "2z4h-diurnal", "2z8h-outage"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("%s -list output missing %q:\n%s", sub, want, out)
 		}
 	}
 }
+
+func TestLoadListPrintsVariants(t *testing.T) { checkListPrintsVariants(t, "load") }
+
+func TestWhyListPrintsVariants(t *testing.T) { checkListPrintsVariants(t, "why") }
 
 func TestOutageVariantPassesExpectGate(t *testing.T) {
 	// The acceptance rig end to end: outage mid-ramp, failover, the
